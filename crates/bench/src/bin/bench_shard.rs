@@ -198,9 +198,9 @@ fn run_point(shards: usize) -> std::io::Result<ShardRun> {
 
     let shard_rows: Vec<u64> = handle
         .engine()
-        .engines()
+        .shards()
         .iter()
-        .map(|e| e.snapshot().rows())
+        .map(|s| s.engine().snapshot().rows())
         .collect();
     let mut client =
         Client::connect_tcp(&addr).map_err(|e| std::io::Error::other(e.to_string()))?;
@@ -209,8 +209,8 @@ fn run_point(shards: usize) -> std::io::Result<ShardRun> {
             .stats()
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         eprintln!("#   stats: {stats}");
-        for (i, e) in handle.engine().engines().iter().enumerate() {
-            let m = e.metrics();
+        for (i, s) in handle.engine().shards().iter().enumerate() {
+            let m = s.engine().metrics();
             eprintln!(
                 "#   shard {i}: commits={} batch_sum={} commit_us={}",
                 m.commit_us.count(),

@@ -7,7 +7,7 @@ use bbs_core::Scheme;
 use bbs_remote::{CoordinatorEngine, CoordinatorOptions, RemoteOptions, Topology};
 use bbs_server::{
     Bind, Client, Engine, RequestHandler, RetryClient, RetryPolicy, Role, ServerAddr,
-    ServerConfig, ServerHandle, ShardedEngine,
+    ServerConfig, ServerHandle, ShardBackend, ShardedEngine,
 };
 use bbs_tdb::read_transactions_path;
 use std::error::Error;
@@ -81,8 +81,8 @@ pub fn serve_with_stop(flags: &Flags, stop: &AtomicBool) -> CmdResult {
         // the shard router — N per-shard commit pipelines behind one
         // listener set.
         let engine = ShardedEngine::open(Path::new(base), cfg)?;
-        let rows: u64 = engine.engines().iter().map(|e| e.snapshot().rows()).sum();
-        let shards = engine.shard_count();
+        let rows: u64 = engine.shards().iter().map(|s| s.last_pin().rows).sum();
+        let shards = engine.shards().len();
         let banner = format!("serving {base}/ ({rows} committed rows across {shards} shard(s))");
         let handle = bbs_server::serve(engine, &bind)?;
         return run_until_stopped(handle, &banner, stop);
@@ -131,12 +131,8 @@ fn serve_coordinator(flags: &Flags, topology_path: &str, stop: &AtomicBool) -> C
     }
     let topology = Topology::read(Path::new(topology_path))?;
     let engine = CoordinatorEngine::connect(topology, coordinator_options(flags)?)?;
-    let rows: u64 = engine
-        .handles()
-        .iter()
-        .map(|h| h.pin().map(|p| p.rows).unwrap_or(0))
-        .sum();
-    let shards = engine.topology().shards;
+    let rows: u64 = engine.shards().iter().map(|h| h.last_pin().rows).sum();
+    let shards = engine.shards().len();
     let banner =
         format!("coordinating {topology_path} ({rows} committed rows across {shards} shard(s))");
     let handle = bbs_server::serve(engine, &bind)?;
@@ -164,8 +160,8 @@ pub fn topology(flags: &Flags) -> CmdResult {
     println!("{topology}");
     if flags.has("connect") {
         let engine = CoordinatorEngine::connect(topology, coordinator_options(flags)?)?;
-        for handle in engine.handles() {
-            let pin = handle.pin().expect("connect always pins");
+        for handle in engine.shards() {
+            let pin = handle.last_pin();
             println!(
                 "shard {:03} at {}: {} rows at epoch {} (width {}, hasher {})",
                 handle.shard(),

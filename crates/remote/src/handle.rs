@@ -1,9 +1,10 @@
 //! [`RemoteShardHandle`]: one shard of a distributed deployment, reached
 //! over the wire protocol.
 //!
-//! The handle implements the same [`ShardHandle`]/[`ShardCounter`] seam a
-//! local shard does, so the gather layer (`bbs_shard::gather`, with its
-//! scaled-τ cross-shard scheme) runs unchanged over remote nodes.  Under
+//! The handle is the shard router's [`ShardBackend`] for a shard
+//! server, and its [`RemotePin`] the [`ShardHandle`] the gather layer
+//! (`bbs_shard::gather`, with its scaled-τ cross-shard scheme) counts
+//! through, so the router runs unchanged over remote nodes.  Under
 //! the hood every call goes through a [`RetryClient`] — per-request
 //! timeouts, capped exponential backoff with jitter, reconnect after
 //! transport failures — and counting runs against a **pinned epoch** so
@@ -31,15 +32,18 @@
 //!    typed `SHARD_UNAVAILABLE` response instead of a silently-wrong
 //!    partial total.
 
+use crate::coordinator::{hasher_for_id, CoordinatorOptions};
+use crate::topology::Topology;
+use bbs_core::Bbs;
 use bbs_server::{
-    maintain_action, ClientError, ClientResult, DeleteReply, InsertReply, MaintainReply, PinReply,
-    RetryClient, RetryPolicy, ServerAddr, ShardFaults,
+    json_array, maintain_action, ClientError, ClientResult, PinReply, PinnedShard, Reply, Response,
+    RetryClient, RetryPolicy, ServerAddr, ShardBackend, ShardFaults,
 };
-use bbs_shard::{ShardCounter, ShardHandle};
-use bbs_tdb::{ItemId, Itemset};
+use bbs_shard::{scatter, ShardHandle};
+use bbs_tdb::{IoStats, Itemset, Transaction, TransactionDb};
 use std::io;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Connection knobs for one remote shard.
@@ -79,40 +83,61 @@ impl Inner {
 pub struct RemoteShardHandle {
     shard: u32,
     opts: RemoteOptions,
-    faults: Arc<ShardFaults>,
+    faults: ShardFaults,
     inner: Mutex<Inner>,
     unavailable: Mutex<Option<String>>,
+    /// The topology's slice width and hasher identity: the mine rebuilds
+    /// this shard's index from its rows with them.
+    width: usize,
+    hasher: String,
 }
 
 impl RemoteShardHandle {
-    /// Connects to the shard's primary and pins its latest snapshot.
-    /// The returned pin carries the width/hasher identity the caller
-    /// (the coordinator) validates against the topology.
-    pub fn connect(
-        shard: u32,
-        primary: &str,
-        follower: Option<&str>,
+    /// Connects to shard `shard` of `topology` at its primary, pins its
+    /// latest snapshot, and refuses a shard whose pinned width or hasher
+    /// identity disagrees with the topology, naming both values.
+    pub(crate) fn connect(
+        topology: &Topology,
+        shard: usize,
         opts: RemoteOptions,
-        faults: Arc<ShardFaults>,
     ) -> io::Result<RemoteShardHandle> {
+        let node = &topology.nodes[shard];
         let handle = RemoteShardHandle {
-            shard,
-            opts: opts.clone(),
-            faults,
+            shard: node.id,
             inner: Mutex::new(Inner {
-                client: Inner::dial(primary, &opts),
-                addr: primary.to_string(),
-                follower: follower.map(str::to_string),
+                client: Inner::dial(&node.primary, &opts),
+                addr: node.primary.clone(),
+                follower: node.follower.clone(),
                 pin: None,
             }),
+            opts,
+            faults: ShardFaults::default(),
             unavailable: Mutex::new(None),
+            width: topology.width,
+            hasher: topology.hasher.clone(),
         };
-        handle.repin().map_err(|e| {
+        let pin = handle.repin().map_err(|e| {
             io::Error::new(
                 io::ErrorKind::ConnectionRefused,
-                format!("shard {shard} at {primary}: {e}"),
+                format!("shard {} at {}: {e}", node.id, node.primary),
             )
         })?;
+        let identity = [
+            ("width", pin.width.to_string(), topology.width.to_string()),
+            ("hasher", pin.hasher, topology.hasher.clone()),
+        ];
+        for (what, served, pinned) in identity {
+            if served != pinned {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "shard {} at {}: serves {what} {served} but the topology pins {what} \
+                         {pinned}",
+                        node.id, node.primary
+                    ),
+                ));
+            }
+        }
         Ok(handle)
     }
 
@@ -125,17 +150,6 @@ impl RemoteShardHandle {
     /// failover).
     pub fn addr(&self) -> String {
         self.lock().addr.clone()
-    }
-
-    /// The snapshot pin operations currently run against.
-    pub fn pin(&self) -> Option<PinReply> {
-        self.lock().pin.clone()
-    }
-
-    /// The message recorded when this shard became unreachable, if any
-    /// (cleared by the next successful call).
-    pub fn unavailable(&self) -> Option<String> {
-        self.unavailable.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -237,65 +251,56 @@ impl RemoteShardHandle {
         }
     }
 
+    /// The one mapping from a shard call's outcome to the wire response
+    /// the router merges: rejections keep their type, a server or
+    /// protocol error stays a server error, and anything else (the
+    /// transport gave out, retries and failover included) is the typed
+    /// `SHARD_UNAVAILABLE` naming this shard.
+    fn answer<T>(&self, outcome: ClientResult<T>, reply: impl FnOnce(T) -> Reply) -> Response {
+        match outcome {
+            Ok(v) => Response::Ok(reply(v)),
+            Err(ClientError::Overloaded) => Response::Overloaded,
+            Err(ClientError::NotPrimary(addr)) => Response::NotPrimary(addr),
+            Err(ClientError::DiskFull) => Response::DiskFull,
+            Err(e @ (ClientError::Server(_) | ClientError::Protocol(_))) => {
+                Response::Err(e.to_string())
+            }
+            Err(e) => Response::ShardUnavailable(self.shard, format!("shard {}: {e}", self.shard)),
+        }
+    }
+
     fn pin_inner(inner: &mut Inner) -> ClientResult<()> {
         let pin = inner.client.snapshot_pin()?;
         inner.pin = Some(pin);
         Ok(())
     }
 
+    /// The snapshot pin operations currently run against.
+    fn current_pin(&self) -> Option<PinReply> {
+        self.lock().pin.clone()
+    }
+
     /// Pins the shard's latest snapshot; subsequent counts and row pulls
     /// answer from it.  Returns the new pin.
-    pub fn repin(&self) -> ClientResult<PinReply> {
+    fn repin(&self) -> ClientResult<PinReply> {
         self.call(|c| c.snapshot_pin()).inspect(|pin| {
             self.lock().pin = Some(pin.clone());
         })
     }
 
-    /// Inserts this shard's partition of a batch, reusing the caller's
-    /// request ID so exactly-once composes end-to-end: a coordinator
-    /// retry re-sends the same ID and the shard's window answers with
-    /// the original receipt.
-    pub fn insert_with_id(
-        &self,
-        req_id: u64,
-        txns: &[(u64, Vec<u32>)],
-    ) -> ClientResult<InsertReply> {
-        self.call(|c| c.insert_with_id(req_id, txns))
-    }
-
-    /// Tombstones this shard's partition of a delete batch, reusing the
-    /// caller's request ID — the same exactly-once composition as
-    /// inserts: a coordinator retry re-sends the same ID and the shard's
-    /// window answers with the original receipt.
-    pub fn delete_with_id(&self, req_id: u64, tids: &[u64]) -> ClientResult<DeleteReply> {
-        self.call(|c| c.delete_with_id(req_id, tids))
-    }
-
-    /// Runs one maintenance action on the shard and returns its health
-    /// report.  Compaction and folds swap the shard's snapshot (the
-    /// server evicts every pin), so any action that may rewrite files
-    /// drops the local pin — the next pinned read re-pins the post-swap
-    /// snapshot instead of burning its one stale-pin retry.
-    pub fn maintain(&self, action: u8, arg: u64) -> ClientResult<MaintainReply> {
-        let out = self.call(|c| c.maintain(action, arg));
-        if out.is_ok() && action != maintain_action::PROBE_FPR {
-            self.lock().pin = None;
+    /// The current pin's epoch, pinning first when there is none.
+    fn pinned_epoch(&self) -> ClientResult<u64> {
+        match self.current_pin() {
+            Some(pin) => Ok(pin.epoch),
+            None => Ok(self.repin()?.epoch),
         }
-        out
     }
 
     /// Batched counting against the current pin, re-pinning once if the
-    /// shard evicted it.  The heart of the remote [`ShardHandle`].
-    pub fn count_many_pinned(
-        &self,
-        itemsets: &[Vec<u32>],
-        tau: Option<u64>,
-    ) -> ClientResult<Vec<u64>> {
+    /// shard evicted it.
+    fn count_many_pinned(&self, itemsets: &[Vec<u32>], tau: Option<u64>) -> ClientResult<Vec<u64>> {
         for _ in 0..2 {
-            let epoch = match self.pin() {
-                Some(pin) => pin.epoch,
-                None => self.repin()?.epoch,
-            };
+            let epoch = self.pinned_epoch()?;
             match self.call(|c| c.count_many_at(epoch, itemsets, tau)) {
                 Ok(reply) => return Ok(reply.supports),
                 Err(ClientError::Server(msg)) if msg.starts_with("stale pin") => {
@@ -311,23 +316,13 @@ impl RemoteShardHandle {
         )))
     }
 
-    /// Pulls one row of the pinned snapshot (`None` past the end) — the
-    /// remote leg of a coordinator probe.
-    pub fn pull_row_at(&self, epoch: u64, row: u64) -> ClientResult<Option<(u64, Vec<u32>)>> {
-        let reply = self.call(|c| c.rows(epoch, row, 1))?;
-        Ok(reply.txns.into_iter().next())
-    }
-
     /// Pulls every transaction of the current pin, in row order, chunked
     /// under the server's per-reply row and byte budgets.
-    pub fn pull_rows(&self) -> ClientResult<Vec<(u64, Vec<u32>)>> {
+    fn pull_rows(&self) -> ClientResult<Vec<(u64, Vec<u32>)>> {
         const CHUNK: u32 = 8192;
         let mut txns: Vec<(u64, Vec<u32>)> = Vec::new();
         loop {
-            let epoch = match self.pin() {
-                Some(pin) => pin.epoch,
-                None => self.repin()?.epoch,
-            };
+            let epoch = self.pinned_epoch()?;
             let from = txns.len() as u64;
             match self.call(|c| c.rows(epoch, from, CHUNK)) {
                 Ok(reply) => {
@@ -367,9 +362,17 @@ fn to_io(e: ClientError) -> io::Error {
     }
 }
 
-impl ShardHandle for RemoteShardHandle {
+/// A remote shard at the pin its handle just took.  Counts and row pulls
+/// run against the handle's current pin, re-pinning once if the shard
+/// evicted it, so the τ scheme's re-queries patch the same snapshot.
+pub struct RemotePin<'a> {
+    handle: &'a RemoteShardHandle,
+    pin: PinReply,
+}
+
+impl ShardHandle for RemotePin<'_> {
     fn rows(&self) -> u64 {
-        self.pin().map(|p| p.rows).unwrap_or(0)
+        self.pin.rows
     }
 
     fn count_many(&self, itemsets: &[Itemset], tau: Option<u64>) -> io::Result<Vec<u64>> {
@@ -377,23 +380,150 @@ impl ShardHandle for RemoteShardHandle {
             .iter()
             .map(|s| s.items().iter().map(|i| i.0).collect())
             .collect();
-        self.count_many_pinned(&sets, tau).map_err(to_io)
+        self.handle.count_many_pinned(&sets, tau).map_err(to_io)
     }
 }
 
-impl ShardCounter for &RemoteShardHandle {
-    fn count(&mut self, itemset: &Itemset, tau: Option<u64>) -> io::Result<u64> {
-        let counts = ShardHandle::count_many(*self, std::slice::from_ref(itemset), tau)?;
-        Ok(counts[0])
+impl PinnedShard for RemotePin<'_> {
+    fn epoch(&self) -> u64 {
+        self.pin.epoch
     }
 
-    fn count_extensions(
-        &mut self,
-        prefix: &Itemset,
-        extensions: &[ItemId],
-        tau: Option<u64>,
-    ) -> io::Result<Vec<u64>> {
-        let sets: Vec<Itemset> = extensions.iter().map(|&e| prefix.with_item(e)).collect();
-        ShardHandle::count_many(*self, &sets, tau)
+    /// Pulls the pinned rows and rebuilds the shard's index in memory at
+    /// the topology's width and hash family.
+    fn load(&self) -> io::Result<(TransactionDb, Bbs)> {
+        let h = self.handle;
+        let hasher = hasher_for_id(&h.hasher).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "cannot mine through hasher {:?}: no local construction for this identity",
+                    h.hasher
+                ),
+            )
+        })?;
+        let mut db = TransactionDb::new();
+        let mut bbs = Bbs::new(h.width, hasher);
+        let mut stats = IoStats::new();
+        for (tid, items) in h.pull_rows().map_err(to_io)? {
+            let txn = Transaction::new(tid, Itemset::from_values(&items));
+            bbs.insert(&txn, &mut stats);
+            db.push(txn);
+        }
+        Ok((db, bbs))
+    }
+
+    fn probe(&self, row: u64) -> io::Result<Option<(u64, Vec<u32>)>> {
+        let reply = self
+            .handle
+            .call(|c| c.rows(self.pin.epoch, row, 1))
+            .map_err(to_io)?;
+        Ok(reply.txns.into_iter().next())
+    }
+}
+
+impl ShardBackend for RemoteShardHandle {
+    type Tier = Topology;
+    type Options = CoordinatorOptions;
+    type Pinned<'a> = RemotePin<'a>;
+
+    /// Connects to every shard in the topology, in parallel, checking
+    /// each one's width and hasher at connect.
+    fn connect_all(
+        topology: &Topology,
+        opts: CoordinatorOptions,
+    ) -> io::Result<(Vec<Self>, usize)> {
+        let shards: Vec<usize> = (0..topology.shards).collect();
+        let handles = scatter(&shards, |_, &i| {
+            RemoteShardHandle::connect(topology, i, opts.remote.clone())
+        })?;
+        Ok((handles, opts.mine_threads))
+    }
+
+    fn pin(&self) -> io::Result<RemotePin<'_>> {
+        let pin = self.repin().map_err(to_io)?;
+        Ok(RemotePin { handle: self, pin })
+    }
+
+    fn pin_all(shards: &[Self]) -> io::Result<Vec<RemotePin<'_>>> {
+        let indices: Vec<usize> = (0..shards.len()).collect();
+        scatter(&indices, |_, &i| shards[i].pin())
+    }
+
+    fn insert(&self, req_id: u64, txns: &[(u64, Vec<u32>)]) -> Response {
+        self.answer(self.call(|c| c.insert_with_id(req_id, txns)), |r| {
+            Reply::Insert {
+                first_row: r.first_row,
+                appended: r.appended,
+                epoch: r.epoch,
+                deduped: r.deduped,
+            }
+        })
+    }
+
+    fn delete(&self, req_id: u64, tids: &[u64]) -> Response {
+        self.answer(self.call(|c| c.delete_with_id(req_id, tids)), |r| {
+            Reply::Delete {
+                deleted: r.deleted,
+                epoch: r.epoch,
+                deduped: r.deduped,
+            }
+        })
+    }
+
+    /// Compaction and folds swap the shard's snapshot (the server evicts
+    /// every pin), so any action that may rewrite files drops the local
+    /// pin: the next pinned read re-pins the post-swap snapshot instead
+    /// of burning its one stale-pin retry.  The topology's `width` stays
+    /// what it was at connect; counting and mining remain correct, but a
+    /// *new* coordinator is refused until the topology file is updated.
+    fn maintain(&self, action: u8, arg: u64) -> Response {
+        let out = self.call(|c| c.maintain(action, arg));
+        if out.is_ok() && action != maintain_action::PROBE_FPR {
+            self.lock().pin = None;
+        }
+        self.answer(out, |r| Reply::Maintain {
+            action_taken: r.action_taken,
+            width: r.width,
+            live_rows: r.live_rows,
+            deleted_rows: r.deleted_rows,
+            fpr_bits: r.fpr.to_bits(),
+        })
+    }
+
+    /// The message recorded when this shard became unreachable (cleared
+    /// by the next successful call).
+    fn unavailable(&self) -> Option<String> {
+        self.unavailable
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+    }
+
+    fn faults(&self) -> &ShardFaults {
+        &self.faults
+    }
+
+    fn last_pin(&self) -> PinReply {
+        self.current_pin().unwrap_or(PinReply {
+            epoch: 0,
+            rows: 0,
+            width: 0,
+            hasher: String::new(),
+        })
+    }
+
+    /// Marks the document a coordinator's and adds the topology version,
+    /// its pinned width and every shard's serving address.
+    fn tier_stats(topology: &Topology, shards: &[Self]) -> Vec<String> {
+        vec![
+            "\"coordinator\":true".to_string(),
+            format!("\"topology_version\":{}", topology.version),
+            format!("\"width\":{}", topology.width),
+            json_array(
+                "shard_addrs",
+                shards.iter().map(|h| format!("\"{}\"", h.addr())),
+            ),
+        ]
     }
 }

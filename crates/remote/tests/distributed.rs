@@ -10,7 +10,8 @@ use bbs_core::Scheme;
 use bbs_hash::{ItemHasher, Md5BloomHasher, ModuloHasher};
 use bbs_remote::{CoordinatorEngine, CoordinatorOptions, NodeSpec, RemoteOptions, Topology};
 use bbs_server::{
-    serve, Bind, Client, Engine, RetryPolicy, ServerConfig, ServerHandle, ShardedEngine,
+    serve, Bind, Client, Engine, RetryPolicy, ServerConfig, ServerHandle, ShardBackend,
+    ShardedEngine,
 };
 use bbs_shard::ShardedDeployment;
 use bbs_storage::diskbbs::DiskDeployment;
@@ -313,7 +314,7 @@ fn dead_shard_is_a_typed_unavailable_not_a_wrong_total() {
         }
         other => panic!("expected ShardUnavailable, got {other:?}"),
     }
-    let faults = &coordinator.shard_faults()[1];
+    let faults = coordinator.shards()[1].faults();
     assert!(faults.scatter_errors.load(std::sync::atomic::Ordering::Relaxed) >= 1);
 
     client.shutdown_server().expect("shutdown coordinator");
@@ -471,8 +472,8 @@ fn coordinator_fails_over_to_the_follower_and_keeps_serving() {
     h_prim.wait();
     assert_eq!(client.count(&[1]).expect("count after failover").support, N);
     use std::sync::atomic::Ordering;
-    assert_eq!(coordinator.shard_faults()[0].failovers.load(Ordering::Relaxed), 1);
-    assert_eq!(coordinator.shard_faults()[1].failovers.load(Ordering::Relaxed), 0);
+    assert_eq!(coordinator.shards()[0].faults().failovers.load(Ordering::Relaxed), 1);
+    assert_eq!(coordinator.shards()[1].faults().failovers.load(Ordering::Relaxed), 0);
 
     // The promoted follower now takes shard 0's writes: inserts keep
     // routing, exactly-once still composes.
@@ -491,4 +492,35 @@ fn coordinator_fails_over_to_the_follower_and_keeps_serving() {
     ch.wait();
     h_fol.join();
     h1.join();
+}
+
+#[test]
+fn coordinator_times_deletes_apart_from_inserts() {
+    let (h0, a0, _g0) = shard_server("scatter_del_s0", cfg());
+    let (h1, a1, _g1) = shard_server("scatter_del_s1", cfg());
+    let coordinator = CoordinatorEngine::connect(topology_for(&[a0, a1], &[None, None]), opts())
+        .expect("connect coordinator");
+    let ch = serve(
+        Arc::clone(&coordinator),
+        &Bind {
+            tcp: Some("127.0.0.1:0".into()),
+            unix: None,
+        },
+    )
+    .expect("serve coordinator");
+    let mut client = Client::connect_tcp(ch.tcp_addr().unwrap().to_string()).expect("connect");
+    client.insert_with_id(1, &batch(0, 30)).expect("insert");
+    assert_eq!(client.delete_with_id(2, &[0, 1, 2]).expect("delete").deleted, 3);
+
+    let json = client.stats().expect("stats");
+    assert!(json.contains("\"scatter_us\":{\"insert\":{\"count\":1,"), "{json}");
+    assert!(json.contains("\"delete\":{\"count\":1,"), "{json}");
+
+    client.shutdown_server().expect("shutdown coordinator");
+    ch.wait();
+    for h in [h0, h1] {
+        let mut c = Client::connect_tcp(h.tcp_addr().unwrap().to_string()).expect("connect");
+        c.shutdown_server().expect("shutdown shard");
+        h.wait();
+    }
 }

@@ -230,6 +230,49 @@ pub enum InsertOutcome {
     Failed(String),
 }
 
+impl From<InsertOutcome> for Response {
+    fn from(outcome: InsertOutcome) -> Response {
+        match outcome {
+            InsertOutcome::Committed {
+                first_row,
+                appended,
+                epoch,
+                deduped,
+            } => Response::Ok(Reply::Insert {
+                first_row,
+                appended,
+                epoch,
+                deduped,
+            }),
+            InsertOutcome::Overloaded => Response::Overloaded,
+            InsertOutcome::DiskFull => Response::DiskFull,
+            InsertOutcome::NotPrimary(primary) => Response::NotPrimary(primary),
+            InsertOutcome::Failed(msg) => Response::Err(msg),
+        }
+    }
+}
+
+/// The wire reply for a mine result: patterns sorted, each with its
+/// support and whether that support is an approximation.
+pub(crate) fn mine_reply(result: &bbs_tdb::MineResult, epoch: u64, rows: u64) -> Reply {
+    let mut patterns: Vec<(Vec<u32>, u64, bool)> = result
+        .patterns
+        .sorted()
+        .into_iter()
+        .map(|p| {
+            let approx = result.approx_supports.contains(&p.items);
+            let items = p.items.items().iter().map(|i| i.0).collect();
+            (items, p.support, approx)
+        })
+        .collect();
+    patterns.sort();
+    Reply::Mine {
+        epoch,
+        rows,
+        patterns,
+    }
+}
+
 /// The server's request engine (transport-agnostic).
 pub struct Engine {
     shared: Arc<SharedDeployment>,
@@ -893,23 +936,7 @@ impl Engine {
                     .iter()
                     .map(|(tid, items)| Transaction::new(*tid, Itemset::from_values(items)))
                     .collect();
-                match self.insert_with_id(*req_id, txns) {
-                    InsertOutcome::Committed {
-                        first_row,
-                        appended,
-                        epoch,
-                        deduped,
-                    } => Response::Ok(Reply::Insert {
-                        first_row,
-                        appended,
-                        epoch,
-                        deduped,
-                    }),
-                    InsertOutcome::Overloaded => Response::Overloaded,
-                    InsertOutcome::DiskFull => Response::DiskFull,
-                    InsertOutcome::NotPrimary(primary) => Response::NotPrimary(primary),
-                    InsertOutcome::Failed(msg) => Response::Err(msg),
-                }
+                self.insert_with_id(*req_id, txns).into()
             }
             Request::Mine {
                 scheme,
@@ -917,22 +944,7 @@ impl Engine {
                 threads,
             } => match self.mine(*scheme, *threshold, usize::from(*threads)) {
                 Ok((result, snap)) => {
-                    let mut patterns: Vec<(Vec<u32>, u64, bool)> = result
-                        .patterns
-                        .sorted()
-                        .into_iter()
-                        .map(|p| {
-                            let approx = result.approx_supports.contains(&p.items);
-                            let items = p.items.items().iter().map(|i| i.0).collect();
-                            (items, p.support, approx)
-                        })
-                        .collect();
-                    patterns.sort();
-                    Response::Ok(Reply::Mine {
-                        epoch: snap.epoch(),
-                        rows: snap.rows(),
-                        patterns,
-                    })
+                    Response::Ok(mine_reply(&result, snap.epoch(), snap.rows()))
                 }
                 Err(e) => Response::Err(format!("mine failed: {e}")),
             },

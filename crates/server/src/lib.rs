@@ -16,9 +16,13 @@
 //!   drain (in-flight requests answered, queued ingest committed).
 //! * [`metrics`] — lock-free per-endpoint counters and log2 latency
 //!   histograms, served as JSON by the `stats` endpoint.
-//! * [`sharded`] — the shard router: one [`ShardedEngine`] over N
-//!   TID-range shards, each a complete engine with its own committer
-//!   (inserts route by TID, reads scatter-gather and sum).
+//! * [`router`] — the shard router, written once: [`Router`] over any
+//!   [`ShardBackend`] routes inserts and deletes by TID residue (reusing
+//!   the request ID per shard), scatter-gathers counts and mining, and
+//!   merges per-shard receipts on one severity ladder.
+//! * [`sharded`] — the local backend: [`ShardedEngine`] is the router
+//!   over N in-process engines of a shard directory, each with its own
+//!   committer.  (The remote backend lives in `bbs-remote`.)
 //! * [`client`] — the matching client library ([`Client`]), one typed
 //!   method per endpoint, plus [`RetryClient`]: reconnect + exponential
 //!   backoff with jitter, and exactly-once inserts via stable request
@@ -40,6 +44,7 @@ pub mod engine;
 pub mod metrics;
 pub mod net;
 pub mod proto;
+pub mod router;
 pub mod sharded;
 
 pub use client::{
@@ -51,4 +56,5 @@ pub use engine::{resolve_threads, Engine, InsertOutcome, Role, ServerConfig};
 pub use metrics::{Endpoint, Histogram, ServerMetrics};
 pub use net::{serve, Bind, RequestHandler, ServerHandle};
 pub use proto::{maintain_action, LogEntry, Reply, Request, Response};
-pub use sharded::{ScatterMetrics, ShardFaults, ShardedEngine};
+pub use router::{json_array, PinnedShard, Router, ScatterMetrics, ShardBackend, ShardFaults};
+pub use sharded::{LocalShard, ShardedEngine};

@@ -7,7 +7,9 @@
 
 use bbs_core::Scheme;
 use bbs_hash::{ItemHasher, Md5BloomHasher};
-use bbs_server::{serve, Bind, Client, Engine, RequestHandler, ServerConfig, ShardedEngine};
+use bbs_server::{
+    serve, Bind, Client, Engine, LocalShard, RequestHandler, ServerConfig, ShardedEngine,
+};
 use bbs_shard::{route, ShardedDeployment};
 use bbs_storage::diskbbs::DiskDeployment;
 use bbs_tdb::SupportThreshold;
@@ -103,8 +105,7 @@ fn sharded_server_matches_unsharded_over_the_wire() {
     assert!(!sr.deduped);
 
     // The batch landed partitioned by TID residue, one pipeline each.
-    let engines = sharded.engines();
-    for (i, e) in engines.iter().enumerate() {
+    for (i, e) in sharded.shards().iter().map(LocalShard::engine).enumerate() {
         let want = (0..N).filter(|t| route(*t, SHARDS) == i).count() as u64;
         assert_eq!(e.snapshot().rows(), want, "shard {i} rows");
     }
@@ -200,7 +201,7 @@ fn retries_dedup_per_shard_and_drain_is_graceful() {
     let retry = client.insert_with_id(7, &txns).expect("retry");
     assert_eq!((retry.appended, retry.deduped), (30, true));
     assert_eq!(client.count(&[1]).expect("count").support, 30);
-    for e in sharded.engines() {
+    for e in sharded.shards().iter().map(LocalShard::engine) {
         assert_eq!(
             e.metrics()
                 .dedup_hits
@@ -213,7 +214,7 @@ fn retries_dedup_per_shard_and_drain_is_graceful() {
     client.shutdown_server().expect("shutdown");
     handle.wait();
     assert!(sharded.is_draining());
-    for e in sharded.engines() {
+    for e in sharded.shards().iter().map(LocalShard::engine) {
         assert!(e.is_draining());
     }
 
@@ -302,10 +303,34 @@ fn commit_pipelines_run_per_shard() {
     let total = writers * per;
     let (supports, _, rows) = sharded.count_many(&[vec![3]]).expect("count");
     assert_eq!((supports[0], rows), (total, total));
-    for (i, e) in sharded.engines().iter().enumerate() {
+    for (i, e) in sharded.shards().iter().map(LocalShard::engine).enumerate() {
         let m = e.metrics();
         assert!(m.batch_size.count() >= 1, "shard {i} never committed");
         assert_eq!(m.batch_size.sum(), total / SHARDS as u64, "shard {i} rows");
     }
     sharded.join();
+}
+
+#[test]
+fn scatter_times_deletes_apart_from_inserts() {
+    let sd = base("scatter_delete");
+    let _g = CleanupDir(sd.clone());
+    create_shards(&sd, 3);
+    let sharded = ShardedEngine::open(&sd, cfg()).expect("open");
+    let handle = serve(
+        Arc::clone(&sharded),
+        &Bind {
+            tcp: Some("127.0.0.1:0".into()),
+            unix: None,
+        },
+    )
+    .expect("serve");
+    let mut client = Client::connect_tcp(handle.tcp_addr().unwrap().to_string()).expect("connect");
+    client.insert_with_id(1, &batch(0, 30)).expect("insert");
+    assert_eq!(client.delete_with_id(2, &[0, 1, 2]).expect("delete").deleted, 3);
+
+    let json = client.stats().expect("stats");
+    assert!(json.contains("\"scatter_us\":{\"insert\":{\"count\":1,"), "{json}");
+    assert!(json.contains("\"delete\":{\"count\":1,"), "{json}");
+    handle.join();
 }
