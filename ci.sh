@@ -5,8 +5,9 @@
 # host has it), the server's end-to-end suites (wire-protocol clients
 # against a live server, and the subprocess kill/fsck recovery test),
 # the sharded-deployment suites (router parity over the wire, proptest
-# equivalence oracle, SIGKILL crash recovery), and a warning-free clippy
-# pass.  Run from the repository root.
+# equivalence oracle, SIGKILL crash recovery), the benchmark's
+# micro-scale self-tests, and a warning-free clippy pass.  Run from the
+# repository root.
 set -eux
 
 cargo build --release
@@ -51,6 +52,10 @@ CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-cli --test failover -- --nocaptu
 # compaction/fold/FPR maintenance, delete replication + resync, and the
 # weblog-churn storm whose measured FPR must heal under AUTO rounds.
 CHAOS_SEED="${CHAOS_SEED}" cargo test -q -p bbs-server --test dynamic -- --nocapture
+# Benchmark self-tests: the micro-scale workloads check every answer
+# against the offline oracle, weblog-churn's under live commits and
+# deletes beside the readers.
+cargo test --release --manifest-path perfbench/Cargo.toml
 # Distributed e2e: coordinator + shard servers + replica over real
 # sockets (equivalence, typed SHARD_UNAVAILABLE, failover), then the
 # SIGKILL-a-shard-primary chaos run on the pinned seed.

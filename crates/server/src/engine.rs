@@ -853,6 +853,7 @@ impl Engine {
     pub fn stats_json(&self) -> String {
         let snap = self.shared.snapshot();
         let profile = self.shared.writer_profile();
+        let slices = self.shared.slice_cache_stats();
         let (role_name, primary_addr) = match self.role() {
             Role::Primary => ("primary", String::new()),
             Role::Follower { primary } => ("follower", primary),
@@ -894,6 +895,16 @@ impl Engine {
             format!(
                 "\"writer_hot\":{{\"pinned\":{},\"hits\":{},\"decodes\":{},\"invalidations\":{}}}",
                 profile.hot.pinned, profile.hot.hits, profile.hot.decodes, profile.hot.invalidations
+            ),
+            format!(
+                "\"slice_cache\":{{\"capacity\":{},\"resident\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"dropped\":{},\"generations\":{}}}",
+                slices.capacity,
+                slices.resident,
+                slices.hits,
+                slices.misses,
+                slices.evictions,
+                slices.dropped,
+                slices.generations
             ),
         ];
         self.metrics.to_json(&extra)
@@ -1613,6 +1624,43 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn stats_report_the_shared_slice_cache() {
+        let b = base("slice_cache");
+        let _g = Cleanup(b.clone());
+        let engine = Engine::open(&b, cfg()).expect("open");
+        let batch = |first: u64| -> Vec<Transaction> {
+            (first..first + 10)
+                .map(|i| Transaction::new(i, Itemset::from_values(&[1, 2])))
+                .collect()
+        };
+        committed(engine.insert(batch(0)));
+        engine.count(&[1, 2]).expect("count");
+        engine.count(&[1, 2]).expect("count");
+        let field = |json: &str, key: &str| -> u64 {
+            let cache = &json[json.find("\"slice_cache\":{").expect("slice_cache")..];
+            let at = cache.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+            let digits: String = cache[at..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse().expect("number")
+        };
+        let json = engine.stats_json();
+        assert!(field(&json, "misses") > 0, "{json}");
+        assert!(
+            field(&json, "hits") > 0,
+            "the second count reads shared pages: {json}"
+        );
+        assert_eq!(field(&json, "dropped"), 0);
+        assert_eq!(field(&json, "generations"), 1);
+        // The next commit appends into the same chunk and drops its pages.
+        committed(engine.insert(batch(10)));
+        let json = engine.stats_json();
+        assert_eq!(field(&json, "dropped"), field(&json, "misses"));
+        assert_eq!(field(&json, "resident"), 0);
     }
 
     #[test]

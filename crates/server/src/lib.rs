@@ -14,7 +14,7 @@
 //! * [`net`] — TCP and Unix-socket listeners with per-connection handler
 //!   threads, interruptible frame reads, request deadlines, and graceful
 //!   drain (in-flight requests answered, queued ingest committed).
-//! * [`metrics`] — lock-free per-endpoint counters and log2 latency
+//! * [`metrics`] — lock-free per-endpoint counters and log-linear latency
 //!   histograms, served as JSON by the `stats` endpoint.
 //! * [`router`] — the shard router, written once: [`Router`] over any
 //!   [`ShardBackend`] routes inserts and deletes by TID residue (reusing

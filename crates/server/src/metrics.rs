@@ -1,18 +1,25 @@
-//! Server observability: lock-free per-endpoint counters and log2-bucketed
+//! Server observability: lock-free per-endpoint counters and log-linear
 //! histograms, rendered as the JSON document the `stats` endpoint serves.
 //!
 //! Everything here is plain atomics — recording a sample on the request
 //! path is a handful of relaxed fetch-adds, cheap enough to leave on
-//! unconditionally.  Histograms bucket by powers of two (bucket *i* holds
-//! values in `[2^(i-1), 2^i)`), which gives ~2× resolution over nine
-//! orders of magnitude in 64 slots: plenty for microsecond latencies and
-//! batch sizes alike.
+//! unconditionally.  Histograms split every power of two into
+//! [`SUB_BUCKETS`] equal sub-buckets (values below `SUB_BUCKETS` get one
+//! exact bucket each), so a bucket is at most 1/8 = 12.5 % wider than its
+//! lower bound across the whole `u64` range: plenty for microsecond
+//! latencies and batch sizes alike.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-const BUCKETS: usize = 64;
+/// Sub-buckets per power of two.
+const SUB_BUCKETS: usize = 8;
+/// `log2(SUB_BUCKETS)`.
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+/// Exact buckets `0..SUB_BUCKETS`, then `SUB_BUCKETS` per power of two
+/// from `2^SUB_BITS` up to `2^63`.
+const BUCKETS: usize = SUB_BUCKETS * (64 - SUB_BITS as usize + 1);
 
-/// A log2-bucketed histogram of `u64` samples (latencies in µs, batch
+/// A log-linear histogram of `u64` samples (latencies in µs, batch
 /// sizes, queue depths — anything positive and heavy-tailed).
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -33,12 +40,25 @@ impl Default for Histogram {
 }
 
 fn bucket_of(value: u64) -> usize {
-    // 0 → bucket 0; otherwise 1 + floor(log2(value)), capped at the top.
-    if value == 0 {
-        0
-    } else {
-        ((64 - value.leading_zeros()) as usize).min(BUCKETS - 1)
+    if value < SUB_BUCKETS as u64 {
+        return value as usize;
     }
+    // `value` = 1.sss… × 2^exp: the power of two picks the group, the
+    // SUB_BITS bits after the leading one pick the sub-bucket.
+    let exp = 63 - value.leading_zeros();
+    let shift = exp - SUB_BITS;
+    let sub = ((value >> shift) as usize) & (SUB_BUCKETS - 1);
+    SUB_BUCKETS * (shift as usize + 1) + sub
+}
+
+/// Largest value bucket `i` holds.
+fn bucket_max(i: usize) -> u64 {
+    if i < SUB_BUCKETS {
+        return i as u64;
+    }
+    let shift = (i / SUB_BUCKETS - 1) as u32;
+    let lower = ((SUB_BUCKETS + i % SUB_BUCKETS) as u64) << shift;
+    lower + ((1u64 << shift) - 1)
 }
 
 impl Histogram {
@@ -77,7 +97,8 @@ impl Histogram {
 
     /// Approximate quantile `q` in `[0, 1]`: the upper bound of the bucket
     /// containing the `q`-th sample (so p99 reads as "99% of samples were
-    /// at most this").  Returns 0 when empty.
+    /// at most this"), at most 12.5 % above that sample and never above
+    /// [`Histogram::max`].  Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         let n = self.count();
         if n == 0 {
@@ -88,8 +109,7 @@ impl Histogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
-                // Upper bound of bucket i is 2^i - 1 (bucket 0 is just {0}).
-                return if i == 0 { 0 } else { (1u64 << i) - 1 };
+                return bucket_max(i).min(self.max());
             }
         }
         self.max()
@@ -332,15 +352,59 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
+    fn buckets_are_log_linear() {
+        // Small values get exact buckets.
+        for v in 0..8u64 {
+            assert_eq!(bucket_of(v), v as usize);
+            assert_eq!(bucket_max(v as usize), v);
+        }
+        // 8..16 is the first split power of two: still one value each.
+        assert_eq!((bucket_of(8), bucket_of(15)), (8, 15));
+        // 16..32 splits into 8 sub-buckets of 2 values each.
+        assert_eq!((bucket_of(16), bucket_of(17), bucket_of(18)), (16, 16, 17));
+        assert_eq!(bucket_max(16), 17);
+        // 1024 = 2^10 starts a group; 1023 ends the previous one.
+        assert_eq!(bucket_of(1024), bucket_of(1023) + 1);
+        assert_eq!(bucket_max(bucket_of(1023)), 1023);
         assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        assert_eq!(bucket_max(BUCKETS - 1), u64::MAX);
+        // Buckets tile the range: every bucket starts one past the last.
+        for i in 1..BUCKETS {
+            assert_eq!(bucket_of(bucket_max(i - 1) + 1), i, "bucket {i}");
+        }
+    }
+
+    #[test]
+    fn quantiles_are_within_an_eighth_and_never_above_max() {
+        // Resolution: with a larger sample beside it, p50 reads the upper
+        // bound of the smaller sample's bucket, at most 12.5 % above it.
+        let mut v = 1u64;
+        while v < u64::MAX / 16 {
+            for probe in [v, v + 1, v * 3 / 2, 2 * v - 1] {
+                let h = Histogram::new();
+                h.record(probe);
+                h.record(probe.saturating_mul(4));
+                let got = h.quantile(0.5);
+                assert!(got >= probe, "{got} < {probe}");
+                assert!(
+                    (got - probe) as f64 <= probe as f64 / 8.0,
+                    "{got} more than 12.5% above {probe}"
+                );
+            }
+            v *= 2;
+        }
+        // The bench figures that read above their own maximum: a mine p50
+        // in the top bucket, and an insert p50 of one repeated sample.
+        let h = Histogram::new();
+        for sample in [12_000u64, 16_000, 21_137, 21_000, 20_500] {
+            h.record(sample);
+        }
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert!(h.quantile(q) <= h.max(), "q={q}");
+        }
+        let h = Histogram::new();
+        h.record(15_605);
+        assert_eq!(h.quantile(0.5), 15_605);
     }
 
     #[test]
@@ -356,8 +420,9 @@ mod tests {
         assert_eq!(h.max(), 1000);
         // p50 of {1,2,3,100,1000} lands in the bucket holding 3 → bound 3.
         assert_eq!(h.quantile(0.5), 3);
-        // p99 lands in the bucket holding 1000 → bound 1023.
-        assert_eq!(h.quantile(0.99), 1023);
+        // p99 lands in the bucket holding 1000 (960..=1023), whose bound
+        // is clamped to the maximum sample.
+        assert_eq!(h.quantile(0.99), 1000);
         assert!(h.quantile(1.0) >= 1000);
     }
 

@@ -1,13 +1,27 @@
-//! A bounded LRU page cache over a [`Pager`].
+//! Page caches over a [`Pager`], with CLOCK replacement.
 //!
 //! This is what turns the paper's memory axis (Fig. 11) into real
 //! behaviour: a mining run against disk-backed structures sees hits while
 //! its working set fits the cache and physical reads once it does not.
+//!
+//! Two caches share one replacement core:
+//!
+//! * [`PageCache`] — a private write-back cache owned by one handle (the
+//!   deployment writer, the heap files, standalone readers);
+//! * `SharedPages` — a read-only cache of verified, immutable slice
+//!   pages that every snapshot reader of one deployment shares (see the
+//!   isolation protocol in [`crate::snapshot`]).  Readers reach it through
+//!   a `SharedView`, which keeps its own pager, so every physical read
+//!   is still verified against its digest by the reader that made it.
 
 use crate::backend::{FileBackend, StorageBackend};
-use crate::pager::{PageBuf, PageId, Pager, PAGE_SIZE};
-use std::collections::HashMap;
+use crate::pager::{zeroed_page, PageBuf, PageId, Pager, PagerStats, PAGE_SIZE};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cache hit/miss/eviction counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -20,19 +34,151 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+/// Hashes a [`PageId`] with one multiply.  Page ids are dense numbers
+/// this crate assigns, so SipHash's resistance to crafted keys buys
+/// nothing, and its cost shows on the per-page lookups of every count.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// A map keyed by page id.
+type PageMap<V> = HashMap<PageId, V, BuildHasherDefault<PageIdHasher>>;
+
+struct Slot<V> {
+    id: PageId,
+    value: V,
+    referenced: bool,
+}
+
+/// CLOCK (second-chance) replacement over at most `capacity` slots.  A
+/// hit sets the slot's reference bit; eviction advances a hand past
+/// referenced slots, clearing their bits, to the first unreferenced one.
+/// Each insertion costs amortised O(1), where scanning every frame for
+/// the least recent stamp cost O(capacity).
+struct Clock<V> {
+    map: PageMap<usize>,
+    slots: Vec<Option<Slot<V>>>,
+    free: Vec<usize>,
+    hand: usize,
+    capacity: usize,
+}
+
+impl<V> Clock<V> {
+    fn new(capacity: usize) -> Self {
+        Clock {
+            map: PageMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            hand: 0,
+            capacity: capacity.max(1),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    fn is_full(&self) -> bool {
+        self.map.len() >= self.capacity
+    }
+
+    /// The slot of `id`, without marking it referenced.
+    fn slot(&mut self, id: PageId) -> Option<&mut Slot<V>> {
+        let &i = self.map.get(&id)?;
+        Some(self.slots[i].as_mut().expect("mapped slot is occupied"))
+    }
+
+    /// The value of `id`, marking it referenced.
+    fn get(&mut self, id: PageId) -> Option<&mut V> {
+        let slot = self.slot(id)?;
+        slot.referenced = true;
+        Some(&mut slot.value)
+    }
+
+    /// Inserts `id`, which must be absent, into a free slot.  The caller
+    /// makes room first with [`Clock::evict`].
+    fn insert(&mut self, id: PageId, value: V) {
+        let slot = Some(Slot {
+            id,
+            value,
+            referenced: false,
+        });
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        self.map.insert(id, i);
+    }
+
+    fn take(&mut self, i: usize) -> (PageId, V) {
+        let slot = self.slots[i].take().expect("occupied slot");
+        self.map.remove(&slot.id);
+        self.free.push(i);
+        (slot.id, slot.value)
+    }
+
+    fn remove(&mut self, id: PageId) -> Option<V> {
+        let i = *self.map.get(&id)?;
+        Some(self.take(i).1)
+    }
+
+    /// Removes the entry the hand selects (`None` when empty).
+    fn evict(&mut self) -> Option<(PageId, V)> {
+        if self.map.is_empty() {
+            return None;
+        }
+        loop {
+            if self.hand >= self.slots.len() {
+                self.hand = 0;
+            }
+            let i = self.hand;
+            self.hand += 1;
+            match &mut self.slots[i] {
+                Some(slot) if slot.referenced => slot.referenced = false,
+                Some(_) => return Some(self.take(i)),
+                None => {}
+            }
+        }
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (PageId, &mut V)> {
+        self.slots
+            .iter_mut()
+            .flatten()
+            .map(|slot| (slot.id, &mut slot.value))
+    }
+}
+
 struct Frame {
     buf: PageBuf,
     dirty: bool,
-    /// Monotonic last-use stamp for LRU.
-    last_used: u64,
 }
 
-/// An LRU page cache with a fixed capacity in pages.
+/// A private write-back page cache with a fixed capacity in pages.
 pub struct PageCache<B: StorageBackend = FileBackend> {
     pager: Pager<B>,
-    frames: HashMap<PageId, Frame>,
-    capacity: usize,
-    tick: u64,
+    frames: Clock<Frame>,
     stats: CacheStats,
 }
 
@@ -41,16 +187,14 @@ impl<B: StorageBackend> PageCache<B> {
     pub fn new(pager: Pager<B>, capacity: usize) -> Self {
         PageCache {
             pager,
-            frames: HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
+            frames: Clock::new(capacity),
             stats: CacheStats::default(),
         }
     }
 
     /// Cache capacity in pages.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.frames.capacity
     }
 
     /// Cache counters.
@@ -59,7 +203,7 @@ impl<B: StorageBackend> PageCache<B> {
     }
 
     /// Physical I/O counters of the underlying pager.
-    pub fn pager_stats(&self) -> crate::pager::PagerStats {
+    pub fn pager_stats(&self) -> PagerStats {
         self.pager.stats()
     }
 
@@ -68,48 +212,24 @@ impl<B: StorageBackend> PageCache<B> {
         self.pager.page_count()
     }
 
-    fn touch(&mut self, id: PageId) {
-        self.tick += 1;
-        if let Some(f) = self.frames.get_mut(&id) {
-            f.last_used = self.tick;
-        }
-    }
-
-    fn ensure_resident(&mut self, id: PageId) -> io::Result<()> {
-        if self.frames.contains_key(&id) {
+    /// The resident frame of `id`, reading it in (and evicting, writing
+    /// back a dirty victim) on a miss.
+    fn frame(&mut self, id: PageId) -> io::Result<&mut Frame> {
+        if self.frames.get(id).is_some() {
             self.stats.hits += 1;
         } else {
             self.stats.misses += 1;
-            self.evict_if_full()?;
-            let buf = self.pager.read_page(id)?;
-            self.frames.insert(
-                id,
-                Frame {
-                    buf,
-                    dirty: false,
-                    last_used: 0,
-                },
-            );
-        }
-        self.touch(id);
-        Ok(())
-    }
-
-    fn evict_if_full(&mut self) -> io::Result<()> {
-        while self.frames.len() >= self.capacity {
-            let victim = *self
-                .frames
-                .iter()
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(id, _)| id)
-                .expect("non-empty cache");
-            let frame = self.frames.remove(&victim).expect("present");
-            if frame.dirty {
-                self.pager.write_page(victim, &frame.buf)?;
+            while self.frames.is_full() {
+                let (victim, frame) = self.frames.evict().expect("full cache");
+                if frame.dirty {
+                    self.pager.write_page(victim, &frame.buf)?;
+                }
+                self.stats.evictions += 1;
             }
-            self.stats.evictions += 1;
+            let buf = self.pager.read_page(id)?;
+            self.frames.insert(id, Frame { buf, dirty: false });
         }
-        Ok(())
+        Ok(&mut self.frames.slot(id).expect("resident").value)
     }
 
     /// Reads bytes from a page through the cache.
@@ -117,9 +237,11 @@ impl<B: StorageBackend> PageCache<B> {
     /// # Panics
     /// Panics if `offset + out.len()` exceeds the page size.
     pub fn read_at(&mut self, id: PageId, offset: usize, out: &mut [u8]) -> io::Result<()> {
-        assert!(offset + out.len() <= PAGE_SIZE, "read crosses page boundary");
-        self.ensure_resident(id)?;
-        let frame = self.frames.get(&id).expect("resident");
+        assert!(
+            offset + out.len() <= PAGE_SIZE,
+            "read crosses page boundary"
+        );
+        let frame = self.frame(id)?;
         out.copy_from_slice(&frame.buf[offset..offset + out.len()]);
         Ok(())
     }
@@ -133,8 +255,7 @@ impl<B: StorageBackend> PageCache<B> {
             offset + data.len() <= PAGE_SIZE,
             "write crosses page boundary"
         );
-        self.ensure_resident(id)?;
-        let frame = self.frames.get_mut(&id).expect("resident");
+        let frame = self.frame(id)?;
         frame.buf[offset..offset + data.len()].copy_from_slice(data);
         frame.dirty = true;
         Ok(())
@@ -146,8 +267,7 @@ impl<B: StorageBackend> PageCache<B> {
         id: PageId,
         f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
     ) -> io::Result<R> {
-        self.ensure_resident(id)?;
-        Ok(f(&self.frames.get(&id).expect("resident").buf))
+        Ok(f(&self.frame(id)?.buf))
     }
 
     /// Batched fetch: makes every page in `ids` resident (in order), so
@@ -157,7 +277,7 @@ impl<B: StorageBackend> PageCache<B> {
     /// degrades to page-at-a-time residency (still correct, just thrashy).
     pub fn prefetch(&mut self, ids: &[PageId]) -> io::Result<()> {
         for &id in ids {
-            self.ensure_resident(id)?;
+            self.frame(id)?;
         }
         Ok(())
     }
@@ -166,13 +286,13 @@ impl<B: StorageBackend> PageCache<B> {
     pub fn flush(&mut self) -> io::Result<()> {
         let mut dirty: Vec<PageId> = self
             .frames
-            .iter()
+            .iter_mut()
             .filter(|(_, f)| f.dirty)
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect();
         dirty.sort_unstable();
         for id in dirty {
-            let frame = self.frames.get_mut(&id).expect("present");
+            let frame = &mut self.frames.slot(id).expect("present").value;
             self.pager.write_page(id, &frame.buf)?;
             frame.dirty = false;
         }
@@ -184,6 +304,285 @@ impl<B: StorageBackend> Drop for PageCache<B> {
     fn drop(&mut self) {
         // Best-effort write-back; errors on drop cannot be reported.
         let _ = self.flush();
+    }
+}
+
+/// Counters of a deployment's shared slice-page cache, cumulative over
+/// every generation it has started.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SharedCacheStats {
+    /// Capacity in pages.
+    pub capacity: usize,
+    /// Pages resident in the current generation.
+    pub resident: usize,
+    /// Lookups served from the cache.
+    pub hits: u64,
+    /// Lookups that fell through to a reader's physical read.
+    pub misses: u64,
+    /// Pages evicted to make room.
+    pub evictions: u64,
+    /// Pages dropped because a commit appended rows to their chunk.
+    pub dropped: u64,
+    /// Generations started: one at open, one more per writer heal,
+    /// compaction, fold or file reset.
+    pub generations: u64,
+}
+
+#[derive(Default)]
+struct SharedCounters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    dropped: AtomicU64,
+    generations: AtomicU64,
+}
+
+/// A bounded cache of verified, immutable pages of one slice file
+/// generation, shared by every snapshot reader of a deployment.
+///
+/// Pages are handed out as `Arc`s and never mutated: a page whose bytes
+/// may have changed is dropped ([`SharedPages::drop_pages`]) rather than
+/// updated, and a reader that still holds the old `Arc` keeps the bytes
+/// it verified.  Replacement is CLOCK, as in [`PageCache`].
+pub(crate) struct SharedPages {
+    pages: Mutex<Clock<Arc<PageBuf>>>,
+    capacity: usize,
+    counters: Arc<SharedCounters>,
+}
+
+impl SharedPages {
+    /// An empty cache of `capacity` pages (min 1): the first generation.
+    pub fn new(capacity: usize) -> Self {
+        let counters = Arc::new(SharedCounters::default());
+        counters.generations.store(1, Ordering::Relaxed);
+        let capacity = capacity.max(1);
+        SharedPages {
+            pages: Mutex::new(Clock::new(capacity)),
+            capacity,
+            counters,
+        }
+    }
+
+    /// An empty cache of the same capacity for the next file generation,
+    /// carrying this one's cumulative counters.
+    pub fn next_generation(&self) -> Self {
+        self.counters.generations.fetch_add(1, Ordering::Relaxed);
+        SharedPages {
+            pages: Mutex::new(Clock::new(self.capacity)),
+            capacity: self.capacity,
+            counters: Arc::clone(&self.counters),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Clock<Arc<PageBuf>>> {
+        self.pages.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Capacity in pages.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Adds to `held` every page of `ids` below `end` that is resident,
+    /// under one lock, and every other id to `missing`.  Returns how many
+    /// it added to `held`.
+    fn hold_resident(
+        &self,
+        ids: &[PageId],
+        end: u64,
+        held: &mut PageMap<Arc<PageBuf>>,
+        missing: &mut Vec<PageId>,
+    ) -> u64 {
+        let mut found = 0;
+        {
+            let mut pages = self.lock();
+            for &id in ids {
+                let page = if id.0 < end { pages.get(id) } else { None };
+                match page {
+                    Some(page) => {
+                        held.insert(id, Arc::clone(page));
+                        found += 1;
+                    }
+                    None => missing.push(id),
+                }
+            }
+        }
+        self.counters.hits.fetch_add(found, Ordering::Relaxed);
+        found
+    }
+
+    /// The cached page `id`, if resident.
+    fn lookup(&self, id: PageId) -> Option<Arc<PageBuf>> {
+        let page = self.lock().get(id).map(|p| Arc::clone(p));
+        let counter = match page {
+            Some(_) => &self.counters.hits,
+            None => &self.counters.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        page
+    }
+
+    /// Inserts a freshly verified page and returns the resident copy (an
+    /// identical page another reader inserted first wins), and whether a
+    /// page was evicted to make room.
+    fn insert(&self, id: PageId, page: Arc<PageBuf>) -> (Arc<PageBuf>, bool) {
+        let mut pages = self.lock();
+        if let Some(resident) = pages.get(id) {
+            return (Arc::clone(resident), false);
+        }
+        let evicted = pages.is_full();
+        if evicted {
+            pages.evict();
+            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        pages.insert(id, Arc::clone(&page));
+        (page, evicted)
+    }
+
+    /// Drops every cached page whose logical id lies in `ids` (the pages a
+    /// commit may have written).  Returns how many were resident.
+    pub fn drop_pages(&self, ids: Range<u64>) -> u64 {
+        let mut pages = self.lock();
+        let victims: Vec<PageId> = if ids.end - ids.start > pages.len() as u64 {
+            pages
+                .map
+                .keys()
+                .copied()
+                .filter(|id| ids.contains(&id.0))
+                .collect()
+        } else {
+            ids.map(PageId)
+                .filter(|id| pages.map.contains_key(id))
+                .collect()
+        };
+        for &id in &victims {
+            pages.remove(id);
+        }
+        let n = victims.len() as u64;
+        self.counters.dropped.fetch_add(n, Ordering::Relaxed);
+        n
+    }
+
+    /// Cumulative counters, with this generation's residency.
+    pub fn stats(&self) -> SharedCacheStats {
+        let resident = self.lock().len();
+        let c = &self.counters;
+        SharedCacheStats {
+            capacity: self.capacity,
+            resident,
+            hits: c.hits.load(Ordering::Relaxed),
+            misses: c.misses.load(Ordering::Relaxed),
+            evictions: c.evictions.load(Ordering::Relaxed),
+            dropped: c.dropped.load(Ordering::Relaxed),
+            generations: c.generations.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// One reader's window onto a [`SharedPages`] cache: its own pager (so a
+/// miss is read and digest-verified by this reader, stale-digest re-read
+/// included), the `Arc`s of the pages it is using right now, and its own
+/// hit/miss/eviction counters.
+///
+/// A page at or past this reader's logical end reads as zeros and is
+/// never inserted: a newer commit may since have materialised it, and a
+/// zero page in the shared cache would hide that commit's bits from
+/// newer readers.
+pub(crate) struct SharedView<B: StorageBackend = FileBackend> {
+    pager: Pager<B>,
+    shared: Arc<SharedPages>,
+    /// Pages in use by the current chunk of the current call; cleared per
+    /// chunk and per call, so a reader pins no more than one chunk's pages.
+    held: PageMap<Arc<PageBuf>>,
+    /// Scratch list of the ids a prefetch found no shared page for.
+    missing: Vec<PageId>,
+    stats: CacheStats,
+}
+
+impl<B: StorageBackend> SharedView<B> {
+    /// A view of `shared` that reads misses through `pager`.
+    pub fn new(pager: Pager<B>, shared: Arc<SharedPages>) -> Self {
+        SharedView {
+            pager,
+            shared,
+            held: PageMap::default(),
+            missing: Vec::new(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Capacity of the shared cache in pages.
+    pub fn capacity(&self) -> usize {
+        self.shared.capacity()
+    }
+
+    /// This reader's own hit/miss/eviction counters.
+    pub fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    /// Physical I/O counters of this reader's pager.
+    pub fn pager_stats(&self) -> PagerStats {
+        self.pager.stats()
+    }
+
+    fn hold(&mut self, id: PageId) -> io::Result<&PageBuf> {
+        let SharedView {
+            pager,
+            shared,
+            held,
+            stats,
+            ..
+        } = self;
+        let slot = match held.entry(id) {
+            Entry::Occupied(held) => {
+                stats.hits += 1;
+                return Ok(held.into_mut());
+            }
+            Entry::Vacant(slot) => slot,
+        };
+        let page = if id.0 >= pager.page_count() {
+            stats.misses += 1;
+            Arc::new(zeroed_page())
+        } else if let Some(page) = shared.lookup(id) {
+            stats.hits += 1;
+            page
+        } else {
+            stats.misses += 1;
+            let (page, evicted) = shared.insert(id, Arc::new(pager.read_page(id)?));
+            stats.evictions += u64::from(evicted);
+            page
+        };
+        Ok(slot.insert(page))
+    }
+
+    /// Runs a closure over a page's bytes without copying them out.
+    pub fn with_page<R>(
+        &mut self,
+        id: PageId,
+        f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
+    ) -> io::Result<R> {
+        Ok(f(self.hold(id)?))
+    }
+
+    /// Releases the pages held so far, then holds every page in `ids`
+    /// (the resident ones under one lock), so that
+    /// [`SharedView::with_page`] on them needs no shared lookup.
+    pub fn prefetch(&mut self, ids: &[PageId]) -> io::Result<()> {
+        self.held.clear();
+        let mut missing = std::mem::take(&mut self.missing);
+        missing.clear();
+        self.stats.hits +=
+            self.shared
+                .hold_resident(ids, self.pager.page_count(), &mut self.held, &mut missing);
+        let result = missing.iter().try_for_each(|&id| self.hold(id).map(|_| ()));
+        self.missing = missing;
+        result
+    }
+
+    /// Releases every held page (the shared cache keeps its own `Arc`s).
+    pub fn release(&mut self) {
+        self.held.clear();
     }
 }
 
@@ -275,6 +674,92 @@ mod tests {
         let mut got = [0u8; 7];
         c.read_at(PageId(1), 0, &mut got).expect("read");
         assert_eq!(&got, b"durable");
+    }
+
+    #[test]
+    fn clock_gives_referenced_pages_a_second_chance() {
+        let (mut c, _g) = cache("clock", 3);
+        let mut buf = [0u8; 1];
+        for id in [0, 1, 2] {
+            c.read_at(PageId(id), 0, &mut buf).expect("read");
+        }
+        c.read_at(PageId(0), 0, &mut buf).expect("hit sets 0's bit");
+        c.read_at(PageId(3), 0, &mut buf)
+            .expect("evicts 1, spares 0");
+        c.read_at(PageId(4), 0, &mut buf).expect("evicts 2");
+        assert_eq!(c.stats().evictions, 2);
+        let misses = c.stats().misses;
+        c.read_at(PageId(0), 0, &mut buf).expect("read");
+        assert_eq!(c.stats().misses, misses, "page 0 survived both evictions");
+        c.read_at(PageId(1), 0, &mut buf).expect("read");
+        assert_eq!(c.stats().misses, misses + 1, "page 1 was the first victim");
+    }
+
+    fn shared_file(name: &str, pages: u64) -> (std::path::PathBuf, Cleanup) {
+        let path = temp(name);
+        let cleanup = Cleanup(path.clone());
+        let mut pager = Pager::open(&path).expect("open");
+        for id in 0..pages {
+            let mut page = zeroed_page();
+            page[0] = id as u8 + 1;
+            pager.write_page(PageId(id), &page).expect("write");
+        }
+        pager.sync().expect("sync");
+        (path, cleanup)
+    }
+
+    #[test]
+    fn shared_pages_are_read_once_across_views() {
+        let (path, _g) = shared_file("shared_once", 4);
+        let shared = Arc::new(SharedPages::new(8));
+        let mut a = SharedView::new(Pager::open(&path).expect("open"), Arc::clone(&shared));
+        let mut b = SharedView::new(Pager::open(&path).expect("open"), Arc::clone(&shared));
+        for id in 0..4 {
+            assert_eq!(a.with_page(PageId(id), |p| p[0]).expect("a"), id as u8 + 1);
+        }
+        a.release();
+        for id in 0..4 {
+            assert_eq!(b.with_page(PageId(id), |p| p[0]).expect("b"), id as u8 + 1);
+        }
+        assert_eq!(a.pager_stats().reads, 4);
+        assert_eq!(b.pager_stats().reads, 0, "b reads only shared pages");
+        assert_eq!((b.stats().hits, b.stats().misses), (4, 0));
+        let s = shared.stats();
+        assert_eq!((s.resident, s.hits, s.misses), (4, 4, 4));
+    }
+
+    #[test]
+    fn shared_pages_past_the_end_read_zero_and_stay_out() {
+        let (path, _g) = shared_file("shared_end", 2);
+        let shared = Arc::new(SharedPages::new(8));
+        let mut v = SharedView::new(Pager::open(&path).expect("open"), Arc::clone(&shared));
+        assert!(v
+            .with_page(PageId(5), |p| p.iter().all(|&b| b == 0))
+            .expect("end"));
+        assert_eq!(shared.stats().resident, 0, "a zero page is never shared");
+        assert_eq!(v.pager_stats().reads, 0);
+    }
+
+    #[test]
+    fn shared_pages_evict_drop_and_renew() {
+        let (path, _g) = shared_file("shared_evict", 6);
+        let shared = Arc::new(SharedPages::new(3));
+        let mut v = SharedView::new(Pager::open(&path).expect("open"), Arc::clone(&shared));
+        for id in 0..6 {
+            v.with_page(PageId(id), |_| ()).expect("read");
+        }
+        v.release();
+        let s = shared.stats();
+        assert_eq!((s.resident, s.evictions), (3, 3));
+        assert_eq!(v.stats().evictions, 3);
+        assert_eq!(shared.drop_pages(4..100), 2, "pages 4 and 5 were resident");
+        assert_eq!(shared.stats().resident, 1);
+        let next = shared.next_generation();
+        let s = next.stats();
+        assert_eq!(
+            (s.resident, s.capacity, s.generations, s.dropped),
+            (0, 3, 2, 2)
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * `<base>.idx` — page 0 is a header (magic, record count, data tail);
 //!   subsequent pages hold one `u64` byte-offset per record.
 //!
-//! All access goes through bounded LRU page caches, so sequential scans and
+//! All access goes through bounded CLOCK page caches, so sequential scans and
 //! random probes exhibit real hit/miss behaviour.
 
 use crate::backend::{FileBackend, StorageBackend};

@@ -5,7 +5,8 @@
 //! This crate provides that layer for real:
 //!
 //! * [`pager`] — fixed-size page I/O over a file, with physical counters;
-//! * [`cache`] — a bounded LRU page cache (write-back, dirty eviction);
+//! * [`cache`] — bounded CLOCK page caches: a private write-back one, and
+//!   the verified slice-page cache a deployment's snapshots share;
 //! * [`bytes`] — byte-granular access spanning page boundaries;
 //! * [`heapfile`] — the append-only transaction store + positional index
 //!   (§3.2's probe index);
@@ -62,7 +63,7 @@ pub use backend::{
     disk_full_error, is_disk_full, BitFlip, CrashMode, DynBackend, FaultInjector, FaultPlan,
     FileBackend, MemBackend, SharedFaultPlan, StorageBackend, WriteFault,
 };
-pub use cache::{CacheStats, PageCache};
+pub use cache::{CacheStats, PageCache, SharedCacheStats};
 pub use dedup::{DedupLog, DedupReceipt};
 pub use del::{read_deletions, DeadMask, DelLog};
 pub use diskbbs::{

@@ -28,13 +28,19 @@
 //! append), and `count_selected_bounded` stops early once the running
 //! upper bound drops below the caller's threshold.
 //!
-//! All read-side state (page cache, hot slices, scratch buffers) lives
+//! All read-side state (page source, hot slices, scratch buffers) lives
 //! behind a `Mutex`, so counting needs only `&self` — shared references
 //! can count concurrently, and independent readers over the same file get
 //! genuine parallelism (see `DiskBbs::counter`).
+//!
+//! The page source is either a private write-back [`PageCache`] (the
+//! writer, standalone readers) or, for a deployment's snapshot readers, a
+//! `SharedView` of the deployment's one `SharedPages` cache (see
+//! `SliceFile::open_shared` and the isolation protocol in
+//! [`crate::snapshot`]).
 
 use crate::backend::{FileBackend, StorageBackend};
-use crate::cache::{CacheStats, PageCache};
+use crate::cache::{CacheStats, PageCache, SharedPages, SharedView};
 use crate::del::DeadMask;
 use crate::pager::{
     fnv1a64_extend, zeroed_page, ChecksumMismatch, PageId, Pager, PagerStats, FNV_OFFSET,
@@ -43,8 +49,9 @@ use crate::pager::{
 use bbs_bitslice::{ops, BitVec};
 use std::collections::HashMap;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const MAGIC: u64 = 0x4242_5353_4c49_4345; // "BBSSLICE"
 
@@ -156,11 +163,74 @@ impl HotSlices {
     }
 }
 
-/// All mutable read-side state: the page cache plus the hot-slice cache and
-/// the reusable counting scratch.  Guarded by one mutex in [`SliceFile`] so
-/// that counting works on `&self`.
+/// Where a slice file's pages come from.
+enum Pages<B: StorageBackend> {
+    /// A private write-back cache: the writer and standalone readers.
+    Private(PageCache<B>),
+    /// A deployment's shared read cache: snapshot readers.
+    Shared(SharedView<B>),
+}
+
+impl<B: StorageBackend> Pages<B> {
+    fn capacity(&self) -> usize {
+        match self {
+            Pages::Private(c) => c.capacity(),
+            Pages::Shared(v) => v.capacity(),
+        }
+    }
+
+    fn prefetch(&mut self, ids: &[PageId]) -> io::Result<()> {
+        match self {
+            Pages::Private(c) => c.prefetch(ids),
+            Pages::Shared(v) => v.prefetch(ids),
+        }
+    }
+
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> io::Result<R> {
+        match self {
+            Pages::Private(c) => c.with_page(id, f),
+            Pages::Shared(v) => v.with_page(id, f),
+        }
+    }
+
+    /// Drops the shared pages a finished call still holds.
+    fn release(&mut self) {
+        if let Pages::Shared(v) = self {
+            v.release();
+        }
+    }
+
+    fn stats(&self) -> CacheStats {
+        match self {
+            Pages::Private(c) => c.stats(),
+            Pages::Shared(v) => v.stats(),
+        }
+    }
+
+    fn pager_stats(&self) -> PagerStats {
+        match self {
+            Pages::Private(c) => c.pager_stats(),
+            Pages::Shared(v) => v.pager_stats(),
+        }
+    }
+
+    /// The write-back cache; a shared-cache reader is read-only.
+    fn writable(&mut self) -> io::Result<&mut PageCache<B>> {
+        match self {
+            Pages::Private(c) => Ok(c),
+            Pages::Shared(_) => Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "slice file opened over a shared read cache is read-only",
+            )),
+        }
+    }
+}
+
+/// All mutable read-side state: the page source plus the hot-slice cache
+/// and the reusable counting scratch.  Guarded by one mutex in
+/// [`SliceFile`] so that counting works on `&self`.
 struct ReadState<B: StorageBackend> {
-    cache: PageCache<B>,
+    cache: Pages<B>,
     hot: HotSlices,
     /// One-page `u64` accumulator, reused across chunks and calls.
     acc: Vec<u64>,
@@ -642,8 +712,42 @@ impl<B: StorageBackend> ReadState<B> {
     }
 }
 
+/// The locked read state of a [`SliceFile`]; dropping it releases the
+/// shared pages the call held, so an idle reader pins none.
+struct StateGuard<'a, B: StorageBackend>(MutexGuard<'a, ReadState<B>>);
+
+impl<B: StorageBackend> std::ops::Deref for StateGuard<'_, B> {
+    type Target = ReadState<B>;
+    fn deref(&self) -> &ReadState<B> {
+        &self.0
+    }
+}
+
+impl<B: StorageBackend> std::ops::DerefMut for StateGuard<'_, B> {
+    fn deref_mut(&mut self) -> &mut ReadState<B> {
+        &mut self.0
+    }
+}
+
+impl<B: StorageBackend> Drop for StateGuard<'_, B> {
+    fn drop(&mut self) {
+        self.0.cache.release();
+    }
+}
+
 fn page_of(width: usize, chunk: u64, slice: usize) -> PageId {
     PageId(1 + chunk * width as u64 + slice as u64)
+}
+
+/// Logical ids of every slice page in the chunks that hold `rows`: the
+/// only pages an append of those rows can write.
+pub(crate) fn chunk_pages(width: usize, rows: Range<u64>) -> Range<u64> {
+    if rows.is_empty() {
+        return 0..0;
+    }
+    let first = rows.start / CHUNK_ROWS as u64;
+    let last = (rows.end - 1) / CHUNK_ROWS as u64;
+    page_of(width, first, 0).0..page_of(width, last + 1, 0).0
 }
 
 /// A durable, chunk-major bit-slice file.
@@ -750,6 +854,25 @@ pub(crate) fn encoded_header(width: usize, rows: u64) -> crate::pager::PageBuf {
     header
 }
 
+/// The row count a header page records, after checking its magic and
+/// width.
+fn header_rows(header: &[u8; PAGE_SIZE], width: usize) -> io::Result<u64> {
+    let field = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    if field(0) != MAGIC {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "not a BBS slice file",
+        ));
+    }
+    if field(8) != width as u64 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("slice file width {} != requested {width}", field(8)),
+        ));
+    }
+    Ok(field(16))
+}
+
 impl<B: StorageBackend> SliceFile<B> {
     /// Opens a slice file over an explicit backend.
     ///
@@ -784,31 +907,42 @@ impl<B: StorageBackend> SliceFile<B> {
             recover(&mut pager, width, rows, slices_digest)?;
         }
         let mut cache = PageCache::new(pager, cache_pages);
-        let (stored_width, rows) = if cache.page_count() == 0 {
-            crate::bytes::write_u64(&mut cache, 0, MAGIC)?;
-            crate::bytes::write_u64(&mut cache, 8, width as u64)?;
-            crate::bytes::write_u64(&mut cache, 16, 0)?;
-            (width as u64, 0)
+        let rows = if cache.page_count() == 0 {
+            cache.write_at(PageId(0), 0, &encoded_header(width, 0)[..24])?;
+            0
         } else {
-            let magic = crate::bytes::read_u64(&mut cache, 0)?;
-            if magic != MAGIC {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "not a BBS slice file",
-                ));
-            }
-            (
-                crate::bytes::read_u64(&mut cache, 8)?,
-                crate::bytes::read_u64(&mut cache, 16)?,
-            )
+            cache.with_page(PageId(0), |header| header_rows(header, width))??
         };
-        if stored_width != width as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("slice file width {stored_width} != requested {width}"),
-            ));
-        }
-        Ok(SliceFile {
+        Ok(SliceFile::from_pages(Pages::Private(cache), width, rows))
+    }
+
+    /// Opens a read-only view of a committed slice file whose pages come
+    /// from (and go to) a deployment's shared cache `shared`.
+    ///
+    /// The header, which sets this reader's row clamp, is read from the
+    /// file and never from the shared cache.  Nothing is written, not even
+    /// the header of an empty file.
+    pub(crate) fn open_shared(
+        backend: B,
+        width: usize,
+        shared: Arc<SharedPages>,
+    ) -> io::Result<Self> {
+        assert!(width > 0, "width must be positive");
+        let mut pager = Pager::new(backend)?;
+        let rows = if pager.page_count() == 0 {
+            0
+        } else {
+            header_rows(&*pager.read_page(PageId(0))?, width)?
+        };
+        Ok(SliceFile::from_pages(
+            Pages::Shared(SharedView::new(pager, shared)),
+            width,
+            rows,
+        ))
+    }
+
+    fn from_pages(cache: Pages<B>, width: usize, rows: u64) -> Self {
+        SliceFile {
             read: Mutex::new(ReadState {
                 cache,
                 hot: HotSlices::new(HOT_SLICE_LIMIT),
@@ -823,11 +957,13 @@ impl<B: StorageBackend> SliceFile<B> {
             }),
             width,
             rows,
-        })
+        }
     }
 
-    fn state(&self) -> MutexGuard<'_, ReadState<B>> {
-        self.read.lock().unwrap_or_else(|e| e.into_inner())
+    /// Locks the read state; the guard releases any shared pages the
+    /// call held when it drops.
+    fn state(&self) -> StateGuard<'_, B> {
+        StateGuard(self.read.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     fn state_mut(&mut self) -> &mut ReadState<B> {
@@ -884,12 +1020,13 @@ impl<B: StorageBackend> SliceFile<B> {
             assert!(p < width, "position {p} out of range");
             let page = page_of(width, chunk, p);
             let mut b = [0u8; 1];
-            state.cache.read_at(page, byte, &mut b)?;
+            let cache = state.cache.writable()?;
+            cache.read_at(page, byte, &mut b)?;
             b[0] |= 1 << bit;
-            state.cache.write_at(page, byte, &b)?;
+            cache.write_at(page, byte, &b)?;
         }
         self.rows += 1;
-        crate::bytes::write_u64(&mut state.cache, 16, self.rows)?;
+        crate::bytes::write_u64(state.cache.writable()?, 16, self.rows)?;
         Ok(row)
     }
 
@@ -1011,7 +1148,7 @@ impl<B: StorageBackend> SliceFile<B> {
 
     /// Flushes dirty pages and syncs.
     pub fn flush(&mut self) -> io::Result<()> {
-        self.state_mut().cache.flush()
+        self.state_mut().cache.writable()?.flush()
     }
 
     /// Chained digest of the boundary-chunk slice pages as they stand

@@ -7,18 +7,21 @@
 //! chain of immutable **[`Snapshot`]s**.  Each snapshot is an independent
 //! read-only handle pair (a [`DiskBbs`] over the slice/counts files and a
 //! [`HeapFile`] over the data/index files) opened at a committed row
-//! count, stamped with a monotonically increasing *epoch*.
+//! count, stamped with a monotonically increasing *epoch*.  Its slice
+//! reads go through the deployment's one shared page cache (rule 4).
 //!
 //! # Isolation protocol
 //!
-//! Three mechanisms compose into snapshot isolation:
+//! Four mechanisms compose into snapshot isolation:
 //!
 //! 1. **Commit-fenced file I/O.**  The on-disk files only change inside
 //!    [`SharedDeployment::commit`], which holds the write side of an
 //!    `RwLock` while it appends, flushes and syncs.  Every snapshot read
 //!    (a page fetch during a count, probe or load) holds the read side,
 //!    so a reader can never see a page and its checksum mid-update — no
-//!    spurious [`crate::ChecksumMismatch`], no torn page content.
+//!    spurious [`crate::ChecksumMismatch`], no torn page content.  A
+//!    waiting commit goes ahead of reads that arrive after it, so a busy
+//!    reader cannot starve the writer.
 //! 2. **Append-only content + the snapshot clamp.**  Between commits a
 //!    snapshot's pages are stable, but a *later* commit does extend the
 //!    shared boundary pages in place (appends only OR bits into slice
@@ -33,22 +36,48 @@
 //!    commit record for its rows has landed, so every published epoch is
 //!    durable: what a query observed is what a crash-recovered reopen
 //!    would also serve.
+//! 4. **One verified slice-page cache per file generation.**  Every
+//!    snapshot's slice reader reads through the deployment's
+//!    `SharedPages`, bounded at `cache_pages`: a page one reader
+//!    verified is served to every later reader as a shared `Arc`, never
+//!    copied, so a commit no longer cold-starts the next snapshot.  A miss
+//!    is read through the reader's own pager, so every physical read still
+//!    verifies its digest (stale-digest re-read included).  Rule 2 makes
+//!    this sound under four rules:
+//!    - *Commit.*  Under the I/O write fence, a commit drops every cached
+//!      page of the chunks its new rows fall in.  Appends write no other
+//!      slice page; deletes write none and drop nothing.
+//!    - *Header.*  The header page sets a reader's row clamp, so it is
+//!      always read from the file and never cached.
+//!    - *Past the end.*  A page past a reader's logical end reads as
+//!      zeros and is never inserted (a newer commit may have written it).
+//!    - *New generation.*  A poisoned-writer heal (recovery clears
+//!      uncommitted bits in place), [`SharedDeployment::compact`],
+//!      [`SharedDeployment::fold`] and [`SharedDeployment::reset_files`]
+//!      (which replace files) start a fresh, empty cache.  Older snapshots
+//!      keep the generation they were opened with.
+//!
+//!    The writer keeps its private write-back cache: its flushed pages are
+//!    not inserted, since no reader has verified them against the disk.
+//!    Snapshots also share one item-position memo per width, so a new
+//!    epoch does not re-hash every query item.
 //!
 //! Queries on old snapshots keep answering from their epoch's prefix
 //! while new commits land — the paper's "dynamic index" claim, made
 //! mechanically checkable (see `tests/concurrent.rs`).
 
 use crate::backend::{DynBackend, FileBackend, SharedFaultPlan, StorageBackend};
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, SharedCacheStats, SharedPages};
 use crate::dedup::DedupReceipt;
 use crate::del::DeadMask;
 use crate::diskbbs::{
-    deployment_paths, DeploymentBackends, DiskBbs, DiskDeployment, DEFAULT_DEDUP_WINDOW,
+    deployment_paths, DeploymentBackends, DiskBbs, DiskDeployment, PositionMemo,
+    DEFAULT_DEDUP_WINDOW,
 };
 use crate::heapfile::HeapFile;
 use crate::maintain::MaintainReport;
 use crate::pager::PagerStats;
-use crate::slicefile::HotStats;
+use crate::slicefile::{chunk_pages, HotStats};
 use bbs_core::Bbs;
 use bbs_hash::ItemHasher;
 use bbs_tdb::{Itemset, Transaction, TransactionDb};
@@ -56,7 +85,7 @@ use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Opens one physical backend of the writer deployment: called once per
 /// file (`tag` is `commit`/`dat`/`idx`/`slices`/`counts`/`dedup`/`log`/
@@ -65,6 +94,28 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 /// live server.
 pub type BackendFactory =
     Arc<dyn Fn(&'static str, &Path) -> io::Result<DynBackend> + Send + Sync>;
+
+/// The commit fence of rule 1: snapshot reads share it, and a commit takes
+/// it exclusively.  A commit holds the turnstile while it waits, so reads
+/// that arrive after it queue behind it: a tight read loop would otherwise
+/// re-take a bare `RwLock` before the woken commit can, and starve it.
+#[derive(Default)]
+struct Fence {
+    turnstile: Mutex<()>,
+    io: RwLock<()>,
+}
+
+impl Fence {
+    fn read(&self) -> RwLockReadGuard<'_, ()> {
+        drop(self.turnstile.lock().unwrap_or_else(|e| e.into_inner()));
+        self.io.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, ()> {
+        let _turn = self.turnstile.lock().unwrap_or_else(|e| e.into_inner());
+        self.io.write().unwrap_or_else(|e| e.into_inner())
+    }
+}
 
 /// An immutable, epoch-stamped read view of a deployment.
 ///
@@ -76,7 +127,7 @@ pub struct Snapshot {
     rows: u64,
     index: DiskBbs,
     heap: Mutex<HeapFile>,
-    io: Arc<RwLock<()>>,
+    io: Arc<Fence>,
 }
 
 impl Snapshot {
@@ -97,14 +148,14 @@ impl Snapshot {
     /// `CountItemSet` at this epoch: the BBS estimate (an upper bound on
     /// the exact support, exact for the rows this snapshot covers).
     pub fn count(&self, items: &Itemset) -> io::Result<u64> {
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+        let _fence = self.io.read();
         self.index.count_itemset(items)
     }
 
     /// [`Snapshot::count`] with the filter's early exit (`tau` semantics
     /// as in [`DiskBbs::count_itemset_bounded`]).
     pub fn count_bounded(&self, items: &Itemset, tau: u64) -> io::Result<u64> {
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+        let _fence = self.io.read();
         self.index.count_itemset_bounded(items, tau)
     }
 
@@ -114,7 +165,7 @@ impl Snapshot {
     /// snapshot's epoch; the results are identical to counting them one at
     /// a time.
     pub fn count_many(&self, itemsets: &[Itemset]) -> io::Result<Vec<u64>> {
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+        let _fence = self.io.read();
         self.index.count_itemsets(itemsets, None)
     }
 
@@ -127,7 +178,7 @@ impl Snapshot {
         itemsets: &[Itemset],
         tau: Option<u64>,
     ) -> io::Result<Vec<u64>> {
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+        let _fence = self.io.read();
         self.index.count_itemsets(itemsets, tau)
     }
 
@@ -158,7 +209,7 @@ impl Snapshot {
         if row >= self.rows || self.is_dead(row) {
             return Ok(None);
         }
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+        let _fence = self.io.read();
         self.heap().get(row).map(Some)
     }
 
@@ -171,7 +222,7 @@ impl Snapshot {
     /// produce, bit-for-bit (inserting a survivor sets the same slice
     /// bits regardless of the dead rows between them being skipped).
     pub fn load(&self) -> io::Result<(TransactionDb, Bbs)> {
-        let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+        let _fence = self.io.read();
         let Some(dead) = self.index.dead_mask().cloned() else {
             let db = self.heap().load_prefix(self.rows)?;
             let bbs = self.index.load()?;
@@ -222,7 +273,7 @@ impl Snapshot {
         let mut exact = vec![0u64; queries.len()];
         let dead = self.index.dead_mask().cloned();
         {
-            let _fence = self.io.read().unwrap_or_else(|e| e.into_inner());
+            let _fence = self.io.read();
             self.heap().for_each_prefix(self.rows, |row, txn| {
                 if dead.as_ref().is_none_or(|d| !d.is_dead(row)) {
                     for (i, q) in queries.iter().enumerate() {
@@ -245,7 +296,9 @@ impl Snapshot {
         Ok(false_pos as f64 / negatives as f64)
     }
 
-    /// Page-cache counters of this snapshot's slice reader.
+    /// Page-cache counters of this snapshot's slice reader: its own hits
+    /// and misses on the deployment's shared cache, and the evictions its
+    /// misses caused.
     pub fn cache_stats(&self) -> CacheStats {
         self.index.cache_stats()
     }
@@ -304,6 +357,15 @@ pub struct DeleteReceipt {
     pub snapshot: Arc<Snapshot>,
 }
 
+/// What every snapshot of one slice-file generation shares (rule 4 of the
+/// isolation protocol): the verified page cache, and the position memo of
+/// the current width.
+#[derive(Clone)]
+struct ReadShare {
+    pages: Arc<SharedPages>,
+    positions: Arc<PositionMemo>,
+}
+
 /// A deployment shared between one committing writer and any number of
 /// snapshot readers (see the module docs for the isolation protocol).
 ///
@@ -317,8 +379,10 @@ pub struct DeleteReceipt {
 pub struct SharedDeployment {
     writer: Mutex<Option<DiskDeployment<DynBackend>>>,
     factory: BackendFactory,
-    io: Arc<RwLock<()>>,
+    io: Arc<Fence>,
     current: Mutex<Arc<Snapshot>>,
+    /// Changed only under the writer lock and the I/O write fence.
+    share: Mutex<ReadShare>,
     epoch: AtomicU64,
     profile: Mutex<WriterProfile>,
     base: PathBuf,
@@ -393,7 +457,7 @@ impl SharedDeployment {
             DEFAULT_DEDUP_WINDOW,
         )?;
         dep.flush()?;
-        let io = Arc::new(RwLock::new(()));
+        let io = Arc::new(Fence::default());
         let rows = dep.db.len();
         let committed_seq = dep.committed_seq();
         let dead = dep.dead_mask();
@@ -403,20 +467,25 @@ impl SharedDeployment {
             ..WriterProfile::default()
         };
         copy_writer_stats(&dep, &mut profile);
+        let share = ReadShare {
+            pages: Arc::new(SharedPages::new(cache_pages)),
+            positions: Arc::new(PositionMemo::new(width)),
+        };
         let shared = SharedDeployment {
             writer: Mutex::new(Some(dep)),
             factory,
             io: Arc::clone(&io),
             current: Mutex::new(Arc::new(open_snapshot_at(
                 base,
-                width,
                 &hasher,
+                &share,
                 cache_pages,
                 io,
                 0,
                 rows,
                 Some(dead),
             )?)),
+            share: Mutex::new(share),
             epoch: AtomicU64::new(0),
             profile: Mutex::new(profile),
             base: base.to_path_buf(),
@@ -493,7 +562,7 @@ impl SharedDeployment {
     ) -> io::Result<CommitReceipt> {
         let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let rows = {
-            let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
+            let _fence = self.io.write();
             let writer = self.writer_or_heal(&mut guard)?;
             let attempt = (|| -> io::Result<Range<u64>> {
                 let first = writer.db.len();
@@ -522,6 +591,10 @@ impl SharedDeployment {
                 Ok(rows) => {
                     let seq = guard.as_ref().expect("writer alive").committed_seq();
                     self.committed_seq.store(seq, Ordering::Release);
+                    // Rule 4: the appended rows' chunks are the only slice
+                    // pages this commit wrote.
+                    let pages = chunk_pages(self.width(), rows.clone());
+                    self.share().pages.drop_pages(pages);
                     rows
                 }
                 Err(e) => {
@@ -622,7 +695,7 @@ impl SharedDeployment {
     ) -> io::Result<DeleteReceipt> {
         let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let (deleted, rows_after, dead) = {
-            let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
+            let _fence = self.io.write();
             let writer = self.writer_or_heal(&mut guard)?;
             match op(writer) {
                 Ok(deleted) => {
@@ -665,7 +738,7 @@ impl SharedDeployment {
     pub fn reset_files(&self) -> io::Result<()> {
         let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         {
-            let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
+            let _fence = self.io.write();
             *guard = None;
             DiskDeployment::remove_files(&self.base)?;
             let writer = self.writer_or_heal(&mut guard)?;
@@ -727,7 +800,7 @@ impl SharedDeployment {
     ) -> io::Result<MaintainReport> {
         let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let (report, rows, dead) = {
-            let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
+            let _fence = self.io.write();
             self.writer_or_heal(&mut guard)?.flush()?;
             *guard = None;
             let report = op(
@@ -737,6 +810,7 @@ impl SharedDeployment {
                 self.cache_pages,
             )?;
             self.width.store(report.width, Ordering::Release);
+            self.new_generation();
             // Reopen directly (not via the heal path): maintenance is
             // not a poisoning failure and must not inflate that counter.
             let dep = open_writer(
@@ -769,6 +843,29 @@ impl SharedDeployment {
         Ok(report)
     }
 
+    fn share(&self) -> MutexGuard<'_, ReadShare> {
+        self.share.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Starts a new slice-file generation (rule 4): an empty shared page
+    /// cache, and a new position memo when the width changed.  Caller
+    /// holds the writer lock and the I/O write fence.
+    fn new_generation(&self) {
+        let width = self.width();
+        let mut share = self.share();
+        share.pages = Arc::new(share.pages.next_generation());
+        if share.positions.width() != width {
+            share.positions = Arc::new(PositionMemo::new(width));
+        }
+    }
+
+    /// Counters of the shared slice-page cache, cumulative over its
+    /// generations.
+    pub fn slice_cache_stats(&self) -> SharedCacheStats {
+        let pages = Arc::clone(&self.share().pages);
+        pages.stats()
+    }
+
     /// Opens a fresh snapshot of the committed on-disk state at `epoch`,
     /// masking `dead` (pass the writer's current bitmap while holding the
     /// writer mutex so the mask matches the files).
@@ -778,10 +875,11 @@ impl SharedDeployment {
         rows: u64,
         dead: Option<Arc<DeadMask>>,
     ) -> io::Result<Snapshot> {
+        let share = self.share().clone();
         open_snapshot_at(
             &self.base,
-            self.width(),
             &self.hasher,
+            &share,
             self.cache_pages,
             Arc::clone(&self.io),
             epoch,
@@ -799,7 +897,7 @@ impl SharedDeployment {
         }
         let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         if guard.is_none() {
-            let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
+            let _fence = self.io.write();
             self.writer_or_heal(&mut guard)?;
         }
         Ok(guard.as_ref().expect("writer alive").dedup_lookup(req_id))
@@ -835,7 +933,7 @@ impl SharedDeployment {
     /// resumes pulling from after a restart.
     pub fn log_delete_entries(&self) -> io::Result<u64> {
         let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let _fence = self.io.write().unwrap_or_else(|e| e.into_inner());
+        let _fence = self.io.write();
         let writer = self.writer_or_heal(&mut guard)?;
         Ok(writer.log_delete_entries())
     }
@@ -859,6 +957,8 @@ impl SharedDeployment {
             )?;
             **guard = Some(dep);
             self.writer_heals.fetch_add(1, Ordering::Relaxed);
+            // Recovery rewrote boundary pages in place.
+            self.new_generation();
             let seq = guard.as_ref().expect("writer alive").committed_seq();
             self.committed_seq.store(seq, Ordering::Release);
         }
@@ -903,15 +1003,15 @@ fn open_writer(
 #[allow(clippy::too_many_arguments)]
 fn open_snapshot_at(
     base: &Path,
-    width: usize,
     hasher: &Arc<dyn ItemHasher>,
+    share: &ReadShare,
     cache_pages: usize,
-    io: Arc<RwLock<()>>,
+    io: Arc<Fence>,
     epoch: u64,
     rows: u64,
     dead: Option<Arc<DeadMask>>,
 ) -> io::Result<Snapshot> {
-    let mut index = DiskBbs::open(base, width, Arc::clone(hasher), cache_pages)?;
+    let mut index = DiskBbs::open_shared(base, Arc::clone(hasher), &share.pages, &share.positions)?;
     index.set_dead_mask(dead);
     Ok(Snapshot {
         epoch,
@@ -1080,6 +1180,62 @@ mod tests {
         assert!(!shared.writer_poisoned());
         assert!(shared.writer_heals() >= 1);
         assert_eq!(r.snapshot.count(&Itemset::from_values(&[1])).expect("count"), 3);
+    }
+
+    #[test]
+    fn a_waiting_commit_holds_off_later_readers() {
+        let fence = Arc::new(Fence::default());
+        let order = Arc::new(AtomicU64::new(0));
+        let held = fence.read();
+        let writer = {
+            let (fence, order) = (Arc::clone(&fence), Arc::clone(&order));
+            std::thread::spawn(move || {
+                let _w = fence.write();
+                order.fetch_add(1, Ordering::SeqCst)
+            })
+        };
+        // The writer is waiting once it holds the turnstile.
+        while fence.turnstile.try_lock().is_ok() {
+            std::thread::yield_now();
+        }
+        let reader = {
+            let (fence, order) = (Arc::clone(&fence), Arc::clone(&order));
+            std::thread::spawn(move || {
+                let _r = fence.read();
+                order.fetch_add(1, Ordering::SeqCst)
+            })
+        };
+        drop(held);
+        let w = writer.join().expect("writer");
+        let r = reader.join().expect("reader");
+        assert_eq!((w, r), (0, 1), "the later reader waits for the commit");
+    }
+
+    #[test]
+    fn snapshots_share_one_position_memo_per_width() {
+        let b = base("memo");
+        let _g = Cleanup(b.clone());
+        let shared = SharedDeployment::open(&b, 64, hasher(), 256).expect("open");
+        shared
+            .commit(&[txn(0, &[1, 2]), txn(1, &[2, 3])])
+            .expect("commit");
+        let first = shared.snapshot();
+        first.count(&Itemset::from_values(&[1, 2])).expect("count");
+        shared.commit(&[txn(2, &[3])]).expect("commit");
+        let second = shared.snapshot();
+        let memo = second.index.position_memo();
+        assert!(Arc::ptr_eq(first.index.position_memo(), memo));
+        assert_eq!(memo.len(), 2, "the new epoch sees items the old one hashed");
+        shared.fold().expect("fold");
+        let folded = shared.snapshot();
+        let memo = folded.index.position_memo();
+        assert_eq!(
+            (memo.width(), memo.len()),
+            (32, 0),
+            "a fold starts a new memo"
+        );
+        shared.compact(None).expect("compact at the same width");
+        assert!(Arc::ptr_eq(shared.snapshot().index.position_memo(), memo));
     }
 
     #[test]
