@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full local CI: release build, every test in the workspace, a compile
+# Full local CI: a check that every integration-test file is run by
+# `cargo test`, release build, every test in the workspace, a compile
 # check of the benchmarks, the kernel property tests re-run with the
 # native instruction set (exercising the AVX2 dispatch tier where the
 # host has it), the server's end-to-end suites (wire-protocol clients
@@ -9,6 +10,23 @@
 # micro-scale self-tests, and a warning-free clippy pass.  Run from the
 # repository root.
 set -eux
+
+# Gate coverage: every integration-test file must be a test target of a
+# default workspace member, so that the plain `cargo test` below runs it.
+cargo metadata --no-deps --format-version 1 | python3 -c '
+import glob, json, os, sys
+meta = json.load(sys.stdin)
+default = set(meta["workspace_default_members"])
+gated = {os.path.realpath(t["src_path"])
+         for p in meta["packages"] if p["id"] in default
+         for t in p["targets"] if "test" in t["kind"]}
+root = meta["workspace_root"]
+files = glob.glob(os.path.join(root, "crates/*/tests/*.rs")) + glob.glob(os.path.join(root, "tests/*.rs"))
+missing = sorted(os.path.relpath(f, root) for f in files if os.path.realpath(f) not in gated)
+for f in missing:
+    print("not run by cargo test:", f, file=sys.stderr)
+sys.exit(1 if missing else 0)
+'
 
 cargo build --release
 cargo test -q

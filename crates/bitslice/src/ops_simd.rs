@@ -35,7 +35,8 @@
 //! the prefix every operand covers.
 //!
 //! This module is the only place in the crate allowed to use `unsafe`; it
-//! is confined to the feature-gated intrinsic paths below.
+//! is confined to the feature-gated intrinsic paths below and to
+//! [`le_words`], which reads aligned bytes in place as words.
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -199,6 +200,21 @@ pub fn and_words(dst: &mut [u64], src: &[u64]) {
         _ => {}
     }
     and_words_scalar(&mut dst[..n], &src[..n]);
+}
+
+/// `bytes` borrowed in place as little-endian `u64` words, so a kernel
+/// can read a page buffer without decoding it.  `None` unless the target
+/// is little-endian (a word's in-memory bytes are then its little-endian
+/// encoding) and `bytes` is 8-byte aligned and a whole number of words;
+/// callers decode with `u64::from_le_bytes` instead.
+pub fn le_words(bytes: &[u8]) -> Option<&[u64]> {
+    if cfg!(target_endian = "big") {
+        return None;
+    }
+    // SAFETY: every bit pattern is a valid `u64`, and `align_to` only
+    // yields the middle part at `u64` alignment and within `bytes`.
+    let (head, words, tail) = unsafe { bytes.align_to::<u64>() };
+    (head.is_empty() && tail.is_empty()).then_some(words)
 }
 
 /// Popcount of `words`, dispatched.
@@ -479,6 +495,24 @@ fn and_all_count_portable_prefix(srcs: &[&[u64]], n: usize, tau: Option<usize>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn le_words_reads_aligned_bytes_in_place() {
+        #[repr(align(8))]
+        struct Aligned([u8; 40]);
+        let words: Vec<u64> = (0..5u64).map(|i| i * 0x0101_0101_0101_0101 + 7).collect();
+        let mut buf = Aligned([0; 40]);
+        for (dst, w) in buf.0.chunks_exact_mut(8).zip(&words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+        if cfg!(target_endian = "little") {
+            assert_eq!(le_words(&buf.0), Some(&words[..]));
+        } else {
+            assert_eq!(le_words(&buf.0), None);
+        }
+        assert_eq!(le_words(&buf.0[1..33]), None, "misaligned");
+        assert_eq!(le_words(&buf.0[..12]), None, "not a whole number of words");
+    }
 
     fn fill(seed: u64, words: usize, density_shift: u32) -> Vec<u64> {
         // xorshift64* stream, ANDed down to the requested density.

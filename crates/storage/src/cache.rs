@@ -16,7 +16,7 @@
 
 use crate::backend::{FileBackend, StorageBackend};
 use crate::pager::{zeroed_page, PageBuf, PageId, Pager, PagerStats, PAGE_SIZE};
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::ops::Range;
@@ -101,6 +101,12 @@ impl<V> Clock<V> {
     fn slot(&mut self, id: PageId) -> Option<&mut Slot<V>> {
         let &i = self.map.get(&id)?;
         Some(self.slots[i].as_mut().expect("mapped slot is occupied"))
+    }
+
+    /// The value of `id`, if present, leaving its reference bit alone.
+    fn peek(&self, id: PageId) -> Option<&V> {
+        let &i = self.map.get(&id)?;
+        self.slots[i].as_ref().map(|slot| &slot.value)
     }
 
     /// The value of `id`, marking it referenced.
@@ -270,6 +276,12 @@ impl<B: StorageBackend> PageCache<B> {
         Ok(f(&self.frame(id)?.buf))
     }
 
+    /// The resident frame of `id`, if any, without reading it in or
+    /// counting a hit: several pages can be borrowed at once this way.
+    pub fn peek(&self, id: PageId) -> Option<&PageBuf> {
+        self.frames.peek(id).map(|frame| &frame.buf)
+    }
+
     /// Batched fetch: makes every page in `ids` resident (in order), so
     /// subsequent [`PageCache::with_page`] calls on them are guaranteed
     /// hits.  Only sound as a batch when `ids.len() < capacity`; with a
@@ -383,27 +395,32 @@ impl SharedPages {
         self.capacity
     }
 
-    /// Adds to `held` every page of `ids` below `end` that is resident,
-    /// under one lock, and every other id to `missing`.  Returns how many
-    /// it added to `held`.
+    /// Pushes onto `held`, in order, the resident page of every id in
+    /// `ids` below `end`, under one lock.  An id it finds no page for gets
+    /// `placeholder` and its position goes to `missing`.  Returns how many
+    /// resident pages it pushed.
     fn hold_resident(
         &self,
         ids: &[PageId],
         end: u64,
-        held: &mut PageMap<Arc<PageBuf>>,
-        missing: &mut Vec<PageId>,
+        placeholder: &Arc<PageBuf>,
+        held: &mut Vec<Arc<PageBuf>>,
+        missing: &mut Vec<usize>,
     ) -> u64 {
         let mut found = 0;
         {
             let mut pages = self.lock();
-            for &id in ids {
+            for (i, &id) in ids.iter().enumerate() {
                 let page = if id.0 < end { pages.get(id) } else { None };
                 match page {
                     Some(page) => {
-                        held.insert(id, Arc::clone(page));
+                        held.push(Arc::clone(page));
                         found += 1;
                     }
-                    None => missing.push(id),
+                    None => {
+                        held.push(Arc::clone(placeholder));
+                        missing.push(i);
+                    }
                 }
             }
         }
@@ -491,11 +508,15 @@ impl SharedPages {
 pub(crate) struct SharedView<B: StorageBackend = FileBackend> {
     pager: Pager<B>,
     shared: Arc<SharedPages>,
-    /// Pages in use by the current chunk of the current call; cleared per
-    /// chunk and per call, so a reader pins no more than one chunk's pages.
-    held: PageMap<Arc<PageBuf>>,
-    /// Scratch list of the ids a prefetch found no shared page for.
-    missing: Vec<PageId>,
+    /// The pages of the current chunk of the current call, in the order
+    /// [`SharedView::hold`] named them; cleared per chunk and per call, so
+    /// a reader pins no more than one chunk's pages.
+    held: Vec<Arc<PageBuf>>,
+    /// Scratch list of the positions in `held` a hold found no shared
+    /// page for.
+    missing: Vec<usize>,
+    /// What every page past this reader's end reads as.
+    zero: Arc<PageBuf>,
     stats: CacheStats,
 }
 
@@ -505,15 +526,11 @@ impl<B: StorageBackend> SharedView<B> {
         SharedView {
             pager,
             shared,
-            held: PageMap::default(),
+            held: Vec::new(),
             missing: Vec::new(),
+            zero: Arc::new(zeroed_page()),
             stats: CacheStats::default(),
         }
-    }
-
-    /// Capacity of the shared cache in pages.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity()
     }
 
     /// This reader's own hit/miss/eviction counters.
@@ -526,34 +543,21 @@ impl<B: StorageBackend> SharedView<B> {
         self.pager.stats()
     }
 
-    fn hold(&mut self, id: PageId) -> io::Result<&PageBuf> {
-        let SharedView {
-            pager,
-            shared,
-            held,
-            stats,
-            ..
-        } = self;
-        let slot = match held.entry(id) {
-            Entry::Occupied(held) => {
-                stats.hits += 1;
-                return Ok(held.into_mut());
-            }
-            Entry::Vacant(slot) => slot,
-        };
-        let page = if id.0 >= pager.page_count() {
-            stats.misses += 1;
-            Arc::new(zeroed_page())
-        } else if let Some(page) = shared.lookup(id) {
-            stats.hits += 1;
-            page
-        } else {
-            stats.misses += 1;
-            let (page, evicted) = shared.insert(id, Arc::new(pager.read_page(id)?));
-            stats.evictions += u64::from(evicted);
-            page
-        };
-        Ok(slot.insert(page))
+    /// The page `id`: the shared copy, or a verified read through this
+    /// reader's pager that is then shared.
+    fn fetch(&mut self, id: PageId) -> io::Result<Arc<PageBuf>> {
+        if id.0 >= self.pager.page_count() {
+            self.stats.misses += 1;
+            return Ok(Arc::clone(&self.zero));
+        }
+        if let Some(page) = self.shared.lookup(id) {
+            self.stats.hits += 1;
+            return Ok(page);
+        }
+        self.stats.misses += 1;
+        let (page, evicted) = self.shared.insert(id, Arc::new(self.pager.read_page(id)?));
+        self.stats.evictions += u64::from(evicted);
+        Ok(page)
     }
 
     /// Runs a closure over a page's bytes without copying them out.
@@ -562,22 +566,33 @@ impl<B: StorageBackend> SharedView<B> {
         id: PageId,
         f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
     ) -> io::Result<R> {
-        Ok(f(self.hold(id)?))
+        let page = self.fetch(id)?;
+        Ok(f(&page))
     }
 
     /// Releases the pages held so far, then holds every page in `ids`
-    /// (the resident ones under one lock), so that
-    /// [`SharedView::with_page`] on them needs no shared lookup.
-    pub fn prefetch(&mut self, ids: &[PageId]) -> io::Result<()> {
+    /// (the resident ones under one lock): [`SharedView::held`]`(i)` is
+    /// the page of `ids[i]` until the next hold or release.
+    pub fn hold(&mut self, ids: &[PageId]) -> io::Result<()> {
         self.held.clear();
-        let mut missing = std::mem::take(&mut self.missing);
-        missing.clear();
-        self.stats.hits +=
-            self.shared
-                .hold_resident(ids, self.pager.page_count(), &mut self.held, &mut missing);
-        let result = missing.iter().try_for_each(|&id| self.hold(id).map(|_| ()));
-        self.missing = missing;
-        result
+        self.missing.clear();
+        self.stats.hits += self.shared.hold_resident(
+            ids,
+            self.pager.page_count(),
+            &self.zero,
+            &mut self.held,
+            &mut self.missing,
+        );
+        for k in 0..self.missing.len() {
+            let i = self.missing[k];
+            self.held[i] = self.fetch(ids[i])?;
+        }
+        Ok(())
+    }
+
+    /// The page of the `i`-th id of the last [`SharedView::hold`].
+    pub fn held(&self, i: usize) -> &PageBuf {
+        &self.held[i]
     }
 
     /// Releases every held page (the shared cache keeps its own `Arc`s).

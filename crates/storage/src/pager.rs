@@ -48,15 +48,32 @@ pub const GROUP_PHYS_PAGES: u64 = GROUP_DATA_PAGES + 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u64);
 
-/// One page worth of bytes.
-pub type PageBuf = Box<[u8; PAGE_SIZE]>;
+/// One page worth of bytes, 8-byte aligned so that a slice page can be
+/// read in place as `u64` words (see `SliceFile`'s counting path) instead
+/// of relying on the allocator's alignment.
+#[derive(Clone, Debug, PartialEq, Eq)]
+#[repr(C, align(8))]
+pub struct Page(pub [u8; PAGE_SIZE]);
+
+impl std::ops::Deref for Page {
+    type Target = [u8; PAGE_SIZE];
+    fn deref(&self) -> &[u8; PAGE_SIZE] {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Page {
+    fn deref_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        &mut self.0
+    }
+}
+
+/// A heap-allocated page.
+pub type PageBuf = Box<Page>;
 
 /// Allocates a zeroed page buffer.
 pub fn zeroed_page() -> PageBuf {
-    vec![0u8; PAGE_SIZE]
-        .into_boxed_slice()
-        .try_into()
-        .expect("exact size")
+    Box::new(Page([0u8; PAGE_SIZE]))
 }
 
 /// The FNV-1a 64-bit offset basis (initial digest state).

@@ -18,15 +18,34 @@
 //!
 //! # Counting path
 //!
-//! `count_selected` walks the selected slices chunk-by-chunk in row order:
-//! each chunk's cold pages are prefetched as a batch, ANDed **in place**
-//! (64-bit words decoded straight out of the cache-resident page bytes
-//! into a reused one-page accumulator — no per-slice `BitVec` is ever
-//! materialised), and popcounted with the tiered kernels of
-//! `bbs_bitslice::ops`.  Slices that keep being selected are promoted into
-//! a pinned **hot-slice cache** of decoded `u64` words (invalidated on
-//! append), and `count_selected_bounded` stops early once the running
-//! upper bound drops below the caller's threshold.
+//! One executor, [`SliceFile::count_selected`], answers every count: a
+//! batch of queries sharing an optional projection prefix and an optional
+//! tombstone mask.  Per-op counting is a batch of one.  It walks the
+//! chunks in row order and, per chunk:
+//!
+//! 1. **Resolves each distinct selected slice once into an operand
+//!    table.**  An operand is either the slice's pinned hot words or its
+//!    page, held for the chunk and read in place as little-endian `u64`
+//!    words ([`crate::pager::Page`] is 8-byte aligned).  Only where that
+//!    cannot be done for every page of the chunk (a private cache too
+//!    small to keep them all resident, a big-endian target) are the pages
+//!    decoded into per-chunk segments instead.  The
+//!    union, its multiplicities and the slice → operand map are
+//!    width-indexed arrays reset in `O(|union|)`; nothing is sorted or
+//!    hashed.
+//! 2. **Trims every operation to the words the chunk occupies**:
+//!    `PAGE_WORDS` on a full chunk, `words_for(within)` on the boundary
+//!    chunk, whose last partial word takes the snapshot clamp.
+//! 3. **Hoists the shared prefix** (Ramp-style bit-vector projection): the
+//!    caller's prefix, every slice all active queries select, and the dead
+//!    mask are ANDed once per chunk into one accumulator, which is one more
+//!    operand.  No per-query accumulator is copied or written.
+//! 4. **Calls the fused kernel once per query**:
+//!    `ops_simd::and_all_count_bounded` over the query's operands, then
+//!    applies the per-chunk τ early exit on the running total.
+//!
+//! Slices that keep being selected are promoted into a pinned **hot-slice
+//! cache** of decoded `u64` words (invalidated on append).
 //!
 //! All read-side state (page source, hot slices, scratch buffers) lives
 //! behind a `Mutex`, so counting needs only `&self` — shared references
@@ -43,11 +62,10 @@ use crate::backend::{FileBackend, StorageBackend};
 use crate::cache::{CacheStats, PageCache, SharedPages, SharedView};
 use crate::del::DeadMask;
 use crate::pager::{
-    fnv1a64_extend, zeroed_page, ChecksumMismatch, PageId, Pager, PagerStats, FNV_OFFSET,
+    fnv1a64_extend, zeroed_page, ChecksumMismatch, PageBuf, PageId, Pager, PagerStats, FNV_OFFSET,
     PAGE_SIZE,
 };
-use bbs_bitslice::{ops, BitVec};
-use std::collections::HashMap;
+use bbs_bitslice::{ops, ops_simd, BitVec};
 use std::io;
 use std::ops::Range;
 use std::path::Path;
@@ -94,6 +112,9 @@ const PROMOTE_AFTER: u32 = 3;
 /// Maximum number of pinned (fully decoded) hot slices.
 const HOT_SLICE_LIMIT: usize = 16;
 
+/// Sentinel of the width-indexed position maps: not present.
+const NONE: u32 = u32::MAX;
+
 /// Counters of the pinned hot-slice cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotStats {
@@ -127,28 +148,41 @@ pub struct HotStats {
 ///   [`mask_from`]) discards any newer bits.
 struct HotSlices {
     capacity: usize,
-    select_counts: HashMap<usize, u32>,
-    pinned: HashMap<usize, Vec<u64>>,
+    /// Width-indexed selection counts.
+    select_counts: Vec<u32>,
+    /// Width-indexed position in `pinned` (`NONE` = not pinned).
+    index: Vec<u32>,
+    /// The pinned slices with their words (`words_for(rows)` of them).
+    pinned: Vec<(usize, Vec<u64>)>,
     hits: u64,
     decodes: u64,
     invalidations: u64,
 }
 
 impl HotSlices {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, width: usize) -> Self {
         HotSlices {
             capacity,
-            select_counts: HashMap::new(),
-            pinned: HashMap::new(),
+            select_counts: vec![0; width],
+            index: vec![NONE; width],
+            pinned: Vec::new(),
             hits: 0,
             decodes: 0,
             invalidations: 0,
         }
     }
 
+    /// The pinned words of `slice`, if it is pinned.
+    fn get(&self, slice: usize) -> Option<&[u64]> {
+        let i = self.index[slice];
+        (i != NONE).then(|| self.pinned[i as usize].1.as_slice())
+    }
+
     fn invalidate(&mut self) {
         if !self.pinned.is_empty() {
-            self.pinned.clear();
+            for (s, _) in self.pinned.drain(..) {
+                self.index[s] = NONE;
+            }
             self.invalidations += 1;
         }
     }
@@ -163,6 +197,16 @@ impl HotSlices {
     }
 }
 
+/// Overwrites `seg` with the first `n` little-endian words of `page`.
+fn decode_into(seg: &mut Vec<u64>, page: &[u8; PAGE_SIZE], n: usize) {
+    seg.clear();
+    seg.extend(
+        page.chunks_exact(8)
+            .take(n)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes"))),
+    );
+}
+
 /// Where a slice file's pages come from.
 enum Pages<B: StorageBackend> {
     /// A private write-back cache: the writer and standalone readers.
@@ -172,24 +216,61 @@ enum Pages<B: StorageBackend> {
 }
 
 impl<B: StorageBackend> Pages<B> {
-    fn capacity(&self) -> usize {
-        match self {
-            Pages::Private(c) => c.capacity(),
-            Pages::Shared(v) => v.capacity(),
-        }
-    }
-
-    fn prefetch(&mut self, ids: &[PageId]) -> io::Result<()> {
-        match self {
-            Pages::Private(c) => c.prefetch(ids),
-            Pages::Shared(v) => v.prefetch(ids),
-        }
-    }
-
     fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> io::Result<R> {
         match self {
             Pages::Private(c) => c.with_page(id, f),
             Pages::Shared(v) => v.with_page(id, f),
+        }
+    }
+
+    /// The page of `id`, the `j`-th id of the last [`Pages::hold`], when
+    /// it can be borrowed: always from a shared view, while resident from
+    /// a private cache.
+    fn page(&self, j: usize, id: PageId) -> Option<&PageBuf> {
+        match self {
+            Pages::Private(c) => c.peek(id),
+            Pages::Shared(v) => Some(v.held(j)),
+        }
+    }
+
+    /// Makes the pages `ids` of one chunk readable through
+    /// [`Pages::operand`]: a shared view holds them; a private cache
+    /// fetches them in one row-order pass when they fit.  Every page is
+    /// then lent in place, or none is: when one cannot be (a private cache
+    /// too small for the chunk's pages, a target that cannot read page
+    /// bytes as words), the first `n` words of each are decoded into
+    /// `segs`, since reading one page in may evict another.
+    fn hold(&mut self, ids: &[PageId], n: usize, segs: &mut Vec<Vec<u64>>) -> io::Result<()> {
+        match self {
+            Pages::Private(c) if ids.len() < c.capacity() => c.prefetch(ids)?,
+            Pages::Private(_) => {}
+            Pages::Shared(v) => v.hold(ids)?,
+        }
+        let lent = ids.iter().enumerate().all(|(j, &id)| {
+            self.page(j, id)
+                .and_then(|page| ops_simd::le_words(&page[..]))
+                .is_some()
+        });
+        if !lent {
+            if segs.len() < ids.len() {
+                segs.resize_with(ids.len(), Vec::new);
+            }
+            for (seg, &id) in segs.iter_mut().zip(ids) {
+                self.with_page(id, |page| decode_into(seg, page, n))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The first `n` words of `id`, the `j`-th page of the last
+    /// [`Pages::hold`]: in place when it can be lent, else its segment.
+    fn operand<'a>(&'a self, j: usize, id: PageId, n: usize, segs: &'a [Vec<u64>]) -> &'a [u64] {
+        match self
+            .page(j, id)
+            .and_then(|page| ops_simd::le_words(&page[..]))
+        {
+            Some(words) => &words[..n],
+            None => &segs[j][..n],
         }
     }
 
@@ -226,50 +307,36 @@ impl<B: StorageBackend> Pages<B> {
     }
 }
 
-/// All mutable read-side state: the page source plus the hot-slice cache
-/// and the reusable counting scratch.  Guarded by one mutex in
+/// All mutable read-side state: the page source, the hot-slice cache and
+/// the executor's reusable scratch.  Guarded by one mutex in
 /// [`SliceFile`] so that counting works on `&self`.
+///
+/// The width-indexed arrays (`mult`, `pos`, `pfx`) are non-default only
+/// at the slices `union` names, which is what lets a union rebuild reset
+/// them in `O(|union|)` instead of `O(width)`.
 struct ReadState<B: StorageBackend> {
     cache: Pages<B>,
     hot: HotSlices,
-    /// One-page `u64` accumulator, reused across chunks and calls.
-    acc: Vec<u64>,
-    /// Scratch list of the current chunk's cold page ids.
-    cold_ids: Vec<PageId>,
-    /// Prefix accumulator for the batched path, reused across calls.  The
-    /// per-query accumulator is [`ReadState::acc`]: accumulation across
-    /// chunks lives in the running totals, never in an accumulator, so one
-    /// chunk-sized buffer serves every query in the batch — re-seeded per
-    /// query per chunk — instead of a batch-sized pool of them thrashing
-    /// the cache.
+    /// Width-indexed number of active queries selecting each slice.
+    mult: Vec<u32>,
+    /// Width-indexed position of each slice in `union` (`NONE` = absent),
+    /// which is also its row of the per-chunk operand table.
+    pos: Vec<u32>,
+    /// Width-indexed membership in the effective prefix.
+    pfx: Vec<bool>,
+    /// The distinct slices the prefix and the active queries select, in
+    /// first-seen order.
+    union: Vec<usize>,
+    /// The effective prefix: the caller's prefix plus every slice all
+    /// active queries select.
+    eff_prefix: Vec<usize>,
+    /// The current chunk's page ids of the union's non-pinned slices.
+    ids: Vec<PageId>,
+    /// Decoded page words for a chunk whose pages cannot be lent in place.
+    segs: Vec<Vec<u64>>,
+    /// The effective prefix's AND (with the dead mask) for one chunk.
     prefix_acc: Vec<u64>,
-    /// Dense pool of decoded shared-slice segments for the batched path,
-    /// indexed by the slot number in [`ReadState::batch_slots`]; buffers
-    /// are reused across chunks and calls.
-    batch_segs: Vec<Vec<u64>>,
-    /// Width-indexed slice → segment-slot map (`NO_SLOT` = not shared).
-    /// Plain-array lookups here replace per-query hash-map probes on the
-    /// batched hot path.  Only entries named by [`ReadState::batch_union`]
-    /// are ever non-default; the rest stay `NO_SLOT` by invariant.
-    batch_slots: Vec<u32>,
-    /// Width-indexed active-query selection multiplicities; same validity
-    /// rule as [`ReadState::batch_slots`].
-    batch_mult: Vec<u32>,
-    /// The distinct slices the current batch's active queries (and prefix)
-    /// select, sorted — names exactly the non-default entries of
-    /// `batch_slots` / `batch_mult` / `batch_pfx`, which is what lets a
-    /// rebuild reset them in `O(|union|)` instead of `O(width)`.
-    batch_union: Vec<usize>,
-    /// Width-indexed membership in the *effective* prefix: the explicit
-    /// projection prefix plus every slice selected by all active queries
-    /// (hoisted automatically, so overlapping batches pay their common
-    /// slices once per chunk even when the caller declared no prefix).
-    batch_pfx: Vec<bool>,
 }
-
-/// Sentinel in [`ReadState::batch_slots`]: this slice has no decoded
-/// shared segment (it is hot, unshared, or not selected at all).
-const NO_SLOT: u32 = u32::MAX;
 
 /// Zeroes every bit at position `>= rows` in a word buffer (the snapshot
 /// clamp): a reader whose header said `rows = N` must never count bits a
@@ -288,6 +355,21 @@ fn mask_from(words: &mut [u64], rows: usize) {
 }
 
 impl<B: StorageBackend> ReadState<B> {
+    fn new(cache: Pages<B>, width: usize) -> Self {
+        ReadState {
+            cache,
+            hot: HotSlices::new(HOT_SLICE_LIMIT, width),
+            mult: vec![0; width],
+            pos: vec![NONE; width],
+            pfx: vec![false; width],
+            union: Vec::new(),
+            eff_prefix: Vec::new(),
+            ids: Vec::new(),
+            segs: Vec::new(),
+            prefix_acc: Vec::new(),
+        }
+    }
+
     /// Decodes a whole slice into little-endian `u64` words (`words_for(rows)`
     /// of them) through the page cache, with bits `>= rows` masked off.
     fn decode_slice(&mut self, width: usize, rows: u64, slice: usize) -> io::Result<Vec<u64>> {
@@ -317,146 +399,25 @@ impl<B: StorageBackend> ReadState<B> {
             return Ok(());
         }
         for &s in slices {
-            let n = self.hot.select_counts.entry(s).or_insert(0);
+            let n = &mut self.hot.select_counts[s];
             *n += 1;
             if *n >= PROMOTE_AFTER
                 && self.hot.pinned.len() < self.hot.capacity
-                && !self.hot.pinned.contains_key(&s)
+                && self.hot.index[s] == NONE
             {
                 let words = self.decode_slice(width, rows, s)?;
-                self.hot.pinned.insert(s, words);
+                self.hot.index[s] = self.hot.pinned.len() as u32;
+                self.hot.pinned.push((s, words));
                 self.hot.decodes += 1;
             }
         }
         Ok(())
     }
 
-    /// The zero-copy fused count: AND the selected slices chunk-by-chunk in
-    /// row order, popcount as we go, and optionally stop once the running
-    /// upper bound falls below `tau`.
-    fn count_selected(
-        &mut self,
-        width: usize,
-        rows: u64,
-        slices: &[usize],
-        tau: Option<u64>,
-        dead: Option<(&[u64], u64)>,
-    ) -> io::Result<u64> {
-        if slices.is_empty() && dead.is_none() {
-            return Ok(rows);
-        }
-        let chunks = (rows as usize).div_ceil(CHUNK_ROWS) as u64;
-        if chunks == 0 {
-            return Ok(0);
-        }
-        self.promote(width, rows, slices)?;
-        let ReadState {
-            cache,
-            hot,
-            acc,
-            cold_ids,
-            ..
-        } = self;
-        acc.resize(PAGE_WORDS, 0);
-        let mut total = 0u64;
-        for c in 0..chunks {
-            let mut seeded = false;
-            // Tombstone mask: seed the accumulator with the *live* rows of
-            // this chunk (`!dead`, live beyond the bitmap's tail), so every
-            // slice AND below starts from "alive" instead of "all ones".
-            // AND+popcount is position-invariant, which makes the masked
-            // count equal, bit for bit, to counting a compacted rewrite of
-            // only the surviving rows.
-            if let Some((dead_words, _)) = dead {
-                let lo = (c as usize) * PAGE_WORDS;
-                for (i, a) in acc.iter_mut().enumerate() {
-                    *a = !dead_words.get(lo + i).copied().unwrap_or(0);
-                }
-                seeded = true;
-            }
-            cold_ids.clear();
-            for &s in slices {
-                match hot.pinned.get(&s) {
-                    Some(words) => {
-                        hot.hits += 1;
-                        let lo = (c as usize) * PAGE_WORDS;
-                        let hi = words.len().min(lo + PAGE_WORDS);
-                        let seg: &[u64] = if lo < hi { &words[lo..hi] } else { &[] };
-                        if seeded {
-                            ops::and_assign(acc, seg);
-                        } else {
-                            acc[..seg.len()].copy_from_slice(seg);
-                            acc[seg.len()..].fill(0);
-                            seeded = true;
-                        }
-                    }
-                    None => cold_ids.push(page_of(width, c, s)),
-                }
-            }
-            // Batched fetch: make this chunk's cold pages resident in one
-            // row-order pass before ANDing them (all hits below when the
-            // cache can hold the whole batch).
-            if cold_ids.len() < cache.capacity() {
-                cache.prefetch(cold_ids)?;
-            }
-            for &id in cold_ids.iter() {
-                if seeded {
-                    cache.with_page(id, |buf| {
-                        for (a, b) in acc.iter_mut().zip(buf.chunks_exact(8)) {
-                            *a &= u64::from_le_bytes(b.try_into().expect("8 bytes"));
-                        }
-                    })?;
-                } else {
-                    cache.with_page(id, |buf| {
-                        for (a, b) in acc.iter_mut().zip(buf.chunks_exact(8)) {
-                            *a = u64::from_le_bytes(b.try_into().expect("8 bytes"));
-                        }
-                    })?;
-                    seeded = true;
-                }
-            }
-            // Snapshot clamp: in the boundary chunk, bits at row positions
-            // `>= rows` are discarded before counting.  In the single-owner
-            // case those bits are zero anyway (pages start zeroed); for a
-            // reader that opened at `rows = N` while a writer keeps
-            // appending to the same file, this is what guarantees the count
-            // reflects exactly the first N rows — never a half-appended
-            // newer batch.
-            if c == chunks - 1 {
-                let within = rows as usize - (c as usize) * CHUNK_ROWS;
-                if within < CHUNK_ROWS {
-                    mask_from(acc, within);
-                }
-            }
-            total += ops::count_ones(acc) as u64;
-            if let Some(tau) = tau {
-                // Every remaining chunk can contribute at most CHUNK_ROWS
-                // bits; once even that cannot reach tau, the exact count
-                // cannot either.  The returned bound never undercounts.
-                let bound = total + (chunks - 1 - c) * CHUNK_ROWS as u64;
-                if bound < tau {
-                    return Ok(bound);
-                }
-            }
-        }
-        Ok(total)
-    }
-
-    /// Shared-scan batched counting (see [`SliceFile::count_selected_many`]
-    /// and [`SliceFile::count_selected_many_shared`]).
-    ///
-    /// The per-chunk loop decodes each distinct selected slice **once** —
-    /// from the pinned hot words or from its cache-resident page — and then
-    /// drives every still-active query's accumulator from those shared
-    /// segments.  Per-op counting walks the same pages once *per query*;
-    /// here the page fetch + decode cost is paid once per chunk for the
-    /// whole batch, which is what amortises concurrent hot-slice queries.
-    ///
-    /// `prefix` is the Ramp-style projection: slices every query selects.
-    /// Their AND is materialised once per chunk and copied into each
-    /// query's accumulator, so a deep enumeration prefix is paid once per
-    /// batch instead of once per sibling candidate.
-    fn count_selected_many(
+    /// The executor behind [`SliceFile::count_selected`] (see the module
+    /// docs for its per-chunk steps).  `dead` is the tombstone bitmap and
+    /// its number of set bits.
+    fn count(
         &mut self,
         width: usize,
         rows: u64,
@@ -491,210 +452,152 @@ impl<B: StorageBackend> ReadState<B> {
         let ReadState {
             cache,
             hot,
-            acc,
-            cold_ids,
+            mult,
+            pos,
+            pfx,
+            union,
+            eff_prefix,
+            ids,
+            segs,
             prefix_acc,
-            batch_segs,
-            batch_slots,
-            batch_mult,
-            batch_union,
-            batch_pfx,
         } = self;
-        // Reusable scratch: accumulation across chunks lives in `totals`,
-        // never in an accumulator (every chunk re-seeds), so one
-        // chunk-sized accumulator serves all the batch's queries in turn —
-        // it stays L1-resident instead of a batch-sized pool of buffers
-        // streaming through the cache once per chunk.
-        acc.resize(PAGE_WORDS, 0);
-        prefix_acc.resize(PAGE_WORDS, 0);
-        let segs = batch_segs;
-        let slots = batch_slots;
-        let mult = batch_mult;
-        let union = batch_union;
-        let pfx = batch_pfx;
-        slots.resize(width, NO_SLOT);
-        mult.resize(width, 0);
-        pfx.resize(width, false);
-        // Cold (non-pinned) slices of the union, the shared subset that
-        // gets a decoded segment per chunk, and the effective prefix.
-        // All rebuilt with the union.
-        let mut cold_slices: Vec<usize> = Vec::new();
-        let mut shared_slices: Vec<usize> = Vec::new();
-        let mut eff_prefix: Vec<usize> = Vec::new();
+        // Pinned-word lookups one chunk serves: one per use, as if each
+        // query and the prefix looked its slices up in turn.
+        let mut chunk_hot_hits = 0u64;
         let mut stale = true;
         for c in 0..chunks {
             if stale {
                 // Reset exactly the entries the previous union named (from
-                // this call or the last one) — the maps stay all-default
-                // elsewhere, so a rebuild costs O(|union|), not O(width).
+                // this call or the last one).
                 for &s in union.iter() {
-                    slots[s] = NO_SLOT;
                     mult[s] = 0;
+                    pos[s] = NONE;
                     pfx[s] = false;
                 }
                 union.clear();
-                union.extend_from_slice(prefix);
                 for (i, (slices, _)) in queries.iter().enumerate() {
-                    if !done[i] {
-                        union.extend_from_slice(slices);
-                        for &s in slices {
-                            mult[s] += 1;
+                    if done[i] {
+                        continue;
+                    }
+                    for &s in slices {
+                        if pos[s] == NONE {
+                            pos[s] = union.len() as u32;
+                            union.push(s);
                         }
+                        mult[s] += 1;
                     }
                 }
-                union.sort_unstable();
-                union.dedup();
-                // The effective prefix: the caller's explicit projection
-                // prefix, plus every slice that all active queries select
-                // (`mult == active` — each query's slice list is deduped,
-                // so it contributes at most 1).  Hoisted slices are ANDed
-                // once per chunk into the prefix accumulator instead of
-                // once per query, which is where an overlapping batch
-                // beats per-op counting on arithmetic, not just on I/O.
                 eff_prefix.clear();
                 for &s in prefix {
+                    if pos[s] == NONE {
+                        pos[s] = union.len() as u32;
+                        union.push(s);
+                    }
                     if !pfx[s] {
                         pfx[s] = true;
                         eff_prefix.push(s);
                     }
                 }
-                for &s in union.iter() {
-                    if !pfx[s] && mult[s] as usize == active {
-                        pfx[s] = true;
-                        eff_prefix.push(s);
-                    }
-                }
-                // A non-prefix slice selected by ≥ 2 active queries (and
-                // not already pinned hot) earns a decoded-segment slot.  A
-                // slice unique to one query never does — it is ANDed
-                // straight from its cache-resident page bytes, exactly
-                // like the per-op path, so a batch of disjoint queries
-                // costs no more than per-op counting.
-                cold_slices.clear();
-                shared_slices.clear();
-                let mut next = 0u32;
-                for &s in union.iter() {
-                    if hot.pinned.contains_key(&s) {
-                        continue;
-                    }
-                    cold_slices.push(s);
-                    if mult[s] >= 2 && !pfx[s] {
-                        slots[s] = next;
-                        shared_slices.push(s);
-                        if segs.len() <= next as usize {
-                            segs.push(Vec::new());
+                // Hoist every slice all active queries select (`mult ==
+                // active`: each query's slices are distinct, so it adds at
+                // most 1).  It is then ANDed once per chunk, not once per
+                // query.  A batch of one has nothing to share.
+                if active >= 2 {
+                    for &s in union.iter() {
+                        if !pfx[s] && mult[s] as usize == active {
+                            pfx[s] = true;
+                            eff_prefix.push(s);
                         }
-                        next += 1;
                     }
                 }
+                chunk_hot_hits = union
+                    .iter()
+                    .filter(|&&s| hot.get(s).is_some())
+                    .map(|&s| if pfx[s] { 1 } else { u64::from(mult[s]) })
+                    .sum();
                 stale = false;
             }
-            cold_ids.clear();
-            for &s in cold_slices.iter() {
-                cold_ids.push(page_of(width, c, s));
-            }
-            // Batched fetch, as in the per-op path: the chunk's cold pages
-            // become resident in one row-order pass.
-            if cold_ids.len() < cache.capacity() {
-                cache.prefetch(cold_ids)?;
-            }
-            // Decode each *shared* cold slice once for the whole batch.
-            for &s in shared_slices.iter() {
-                let seg = &mut segs[slots[s] as usize];
-                seg.clear();
-                cache.with_page(page_of(width, c, s), |buf| {
-                    for w in buf.chunks_exact(8) {
-                        seg.push(u64::from_le_bytes(w.try_into().expect("8 bytes")));
-                    }
-                })?;
-            }
+            hot.hits += chunk_hot_hits;
+            // Trim to the words the chunk occupies; on the boundary chunk
+            // the last partial word keeps only rows `< rows` (the snapshot
+            // clamp).
             let lo = (c as usize) * PAGE_WORDS;
             let within = rows as usize - (c as usize) * CHUNK_ROWS;
-            // ANDs `$s`'s words for this chunk into `$acc` (the shared
-            // decoded segment, hot words, or zero-copy off the page),
-            // seeding on first use.  The slot test is a plain array read,
-            // so the per-query inner loop probes a hash map at most once
-            // per slice (the pinned-set lookup), as per-op counting does.
-            macro_rules! apply {
-                ($acc:expr, $seeded:expr, $s:expr) => {{
-                    let acc: &mut [u64] = $acc;
-                    let slot = slots[$s];
-                    if slot != NO_SLOT {
-                        // Decoded this chunk: the pass above covers exactly
-                        // the slotted slices, so a segment left over from an
-                        // earlier chunk (a sharer τ-exited) or an earlier
-                        // call is never mistaken for current data.
-                        let seg: &[u64] = &segs[slot as usize];
-                        if $seeded {
-                            ops::and_assign(acc, seg);
-                        } else {
-                            acc[..seg.len()].copy_from_slice(seg);
-                            acc[seg.len()..].fill(0);
-                        }
-                    } else if let Some(words) = hot.pinned.get(&$s) {
-                        hot.hits += 1;
-                        let hi = words.len().min(lo + PAGE_WORDS);
-                        let seg: &[u64] = if lo < hi { &words[lo..hi] } else { &[] };
-                        if $seeded {
-                            ops::and_assign(acc, seg);
-                        } else {
-                            acc[..seg.len()].copy_from_slice(seg);
-                            acc[seg.len()..].fill(0);
-                        }
-                    } else if $seeded {
-                        cache.with_page(page_of(width, c, $s), |buf| {
-                            for (a, b) in acc.iter_mut().zip(buf.chunks_exact(8)) {
-                                *a &= u64::from_le_bytes(b.try_into().expect("8 bytes"));
-                            }
-                        })?;
-                    } else {
-                        cache.with_page(page_of(width, c, $s), |buf| {
-                            for (a, b) in acc.iter_mut().zip(buf.chunks_exact(8)) {
-                                *a = u64::from_le_bytes(b.try_into().expect("8 bytes"));
-                            }
-                        })?;
+            let (n, full, tail) = if within >= CHUNK_ROWS {
+                (PAGE_WORDS, PAGE_WORDS, 0)
+            } else {
+                let rem = within % 64;
+                let tail = if rem == 0 { 0 } else { (1u64 << rem) - 1 };
+                (bbs_bitslice::words_for(within), within / 64, tail)
+            };
+            ids.clear();
+            ids.extend(
+                union
+                    .iter()
+                    .filter(|&&s| hot.get(s).is_none())
+                    .map(|&s| page_of(width, c, s)),
+            );
+            cache.hold(ids, n, segs)?;
+            // The operand table, in union order (`pos` indexes it).
+            let mut next_page = 0;
+            let table: Vec<&[u64]> = union
+                .iter()
+                .map(|&s| match hot.get(s) {
+                    Some(words) => &words[lo..lo + n],
+                    None => {
+                        next_page += 1;
+                        cache.operand(next_page - 1, ids[next_page - 1], n, segs)
                     }
-                    $seeded = true;
-                }};
-            }
-            // The shared projection: AND the effective prefix (explicit +
-            // hoisted common slices) once per chunk.  The tombstone mask
-            // rides it as an implicit member — seeded first, so the whole
-            // batch pays one masked copy per chunk (the same prefix-hoisting
-            // amortisation the projection itself gets).
-            let mut prefix_seeded = false;
-            if let Some((dead_words, _)) = dead {
-                for (i, a) in prefix_acc.iter_mut().enumerate() {
-                    *a = !dead_words.get(lo + i).copied().unwrap_or(0);
+                })
+                .collect();
+            let operand = |s: usize| table[pos[s] as usize];
+            // The projection: the effective prefix and the dead mask as one
+            // operand, materialised only when it has two members or more.
+            let prefix_op: Option<&[u64]> = match (dead, eff_prefix.as_slice()) {
+                (None, []) => None,
+                (None, [s]) => Some(operand(*s)),
+                (dead, members) => {
+                    prefix_acc.clear();
+                    let rest = match dead {
+                        // The live rows of this chunk: `!dead`, and live
+                        // beyond the bitmap's tail.
+                        Some((dead_words, _)) => {
+                            prefix_acc.extend(
+                                (lo..lo + n).map(|i| !dead_words.get(i).copied().unwrap_or(0)),
+                            );
+                            members
+                        }
+                        None => {
+                            prefix_acc.extend_from_slice(operand(members[0]));
+                            &members[1..]
+                        }
+                    };
+                    for &s in rest {
+                        ops::and_assign(prefix_acc, operand(s));
+                    }
+                    Some(prefix_acc.as_slice())
                 }
-                prefix_seeded = true;
-            }
-            for &s in eff_prefix.iter() {
-                apply!(prefix_acc, prefix_seeded, s);
-            }
+            };
+            let mut srcs: Vec<&[u64]> = Vec::new();
             for (i, (slices, tau)) in queries.iter().enumerate() {
                 if done[i] {
                     continue;
                 }
-                let mut seeded = false;
-                if prefix_seeded {
-                    acc.copy_from_slice(prefix_acc);
-                    seeded = true;
+                srcs.clear();
+                srcs.extend(prefix_op);
+                srcs.extend(slices.iter().filter(|&&s| !pfx[s]).map(|&s| operand(s)));
+                debug_assert!(!srcs.is_empty(), "an active query has an operand");
+                let mut count = ops_simd::and_all_count_bounded(&srcs, full, None) as u64;
+                if tail != 0 {
+                    let last = srcs.iter().fold(tail, |w, src| w & src[full]);
+                    count += u64::from(last.count_ones());
                 }
-                for &s in slices {
-                    // Hoisted into the effective prefix: already ANDed in.
-                    if pfx[s] {
-                        continue;
-                    }
-                    apply!(acc, seeded, s);
-                }
-                // Snapshot clamp on the boundary chunk, exactly as in the
-                // per-op path.
-                if c == chunks - 1 && within < CHUNK_ROWS {
-                    mask_from(acc, within);
-                }
-                totals[i] += ops::count_ones(acc) as u64;
+                totals[i] += count;
                 if let Some(tau) = tau {
+                    // Every remaining chunk can contribute at most
+                    // CHUNK_ROWS bits; once even that cannot reach tau, the
+                    // exact count cannot either.  The returned bound never
+                    // undercounts.
                     let bound = totals[i] + (chunks - 1 - c) * CHUNK_ROWS as u64;
                     if bound < *tau {
                         totals[i] = bound;
@@ -943,18 +846,7 @@ impl<B: StorageBackend> SliceFile<B> {
 
     fn from_pages(cache: Pages<B>, width: usize, rows: u64) -> Self {
         SliceFile {
-            read: Mutex::new(ReadState {
-                cache,
-                hot: HotSlices::new(HOT_SLICE_LIMIT),
-                acc: Vec::new(),
-                cold_ids: Vec::new(),
-                prefix_acc: Vec::new(),
-                batch_segs: Vec::new(),
-                batch_slots: Vec::new(),
-                batch_mult: Vec::new(),
-                batch_union: Vec::new(),
-                batch_pfx: Vec::new(),
-            }),
+            read: Mutex::new(ReadState::new(cache, width)),
             width,
             rows,
         }
@@ -1037,106 +929,32 @@ impl<B: StorageBackend> SliceFile<B> {
         Ok(BitVec::from_words(words, self.rows as usize))
     }
 
-    /// ANDs the selected slices together and popcounts, reading only those
-    /// slices' pages — `CountItemSet` straight off the disk layout.
-    pub fn count_selected(&self, slices: &[usize]) -> io::Result<u64> {
-        self.count_selected_bounded(slices, None)
-    }
-
-    /// [`SliceFile::count_selected`] with an early exit: with
-    /// `tau = Some(τ)` the result is exact whenever it is `≥ τ`, and an
-    /// upper bound on the exact count when it is `< τ` (counting stops as
-    /// soon as even all-ones remaining chunks could not reach `τ`).
-    pub fn count_selected_bounded(&self, slices: &[usize], tau: Option<u64>) -> io::Result<u64> {
-        self.state()
-            .count_selected(self.width, self.rows, slices, tau, None)
-    }
-
-    /// [`SliceFile::count_selected_bounded`] restricted to live rows: rows
-    /// set in `dead` are AND-NOTed out of every chunk (§3.4's constraint-
-    /// slice trick, pointed at tombstones).  The result is bit-for-bit what
-    /// counting a compacted rewrite of only the surviving rows would give.
-    pub fn count_selected_bounded_masked(
-        &self,
-        slices: &[usize],
-        tau: Option<u64>,
-        dead: Option<&DeadMask>,
-    ) -> io::Result<u64> {
-        self.state().count_selected(
-            self.width,
-            self.rows,
-            slices,
-            tau,
-            dead.filter(|d| d.deleted > 0)
-                .map(|d| (d.words.as_slice(), d.deleted)),
-        )
-    }
-
-    /// Shared-scan batched counting: walks each selected slice chunk once
-    /// for the *whole batch*, feeding every query's accumulator from the
-    /// same decoded segment, with an independent τ-consistent early exit
-    /// per query (`tau` semantics as in
-    /// [`SliceFile::count_selected_bounded`]; an empty selection counts
-    /// every row, as in [`SliceFile::count_selected`]).
+    /// `CountItemSet` straight off the disk layout, for a batch of
+    /// queries: each `(slices, tau)` counts the rows whose selected slices
+    /// (its own `slices` plus every `prefix` slice) are all set, reading
+    /// only those slices' pages.  Per-op counting is a batch of one.
     ///
-    /// Results are bit-for-bit identical to issuing the queries one at a
-    /// time — the batch only changes how often shared pages are fetched
-    /// and decoded.
-    pub fn count_selected_many(
-        &self,
-        queries: &[(Vec<usize>, Option<u64>)],
-    ) -> io::Result<Vec<u64>> {
-        self.state()
-            .count_selected_many(self.width, self.rows, &[], queries, None)
-    }
-
-    /// [`SliceFile::count_selected_many`] restricted to live rows (see
-    /// [`SliceFile::count_selected_bounded_masked`]).  The mask rides the
-    /// shared-scan prefix accumulator, so the whole batch pays one masked
-    /// seed per chunk.
-    pub fn count_selected_many_masked(
-        &self,
-        queries: &[(Vec<usize>, Option<u64>)],
-        dead: Option<&DeadMask>,
-    ) -> io::Result<Vec<u64>> {
-        self.state().count_selected_many(
-            self.width,
-            self.rows,
-            &[],
-            queries,
-            dead.filter(|d| d.deleted > 0)
-                .map(|d| (d.words.as_slice(), d.deleted)),
-        )
-    }
-
-    /// [`SliceFile::count_selected_many`] with a shared slice prefix: every
-    /// query counts rows matching `prefix ∪ slices`, but the prefix AND is
-    /// materialised once per chunk and reused across the batch (Ramp-style
-    /// bit-vector projection).  Because AND is idempotent, slices listed in
-    /// both `prefix` and a query's own selection are harmless, and the
-    /// results are bit-for-bit identical to per-op counting of each union.
+    /// * `prefix` is the Ramp-style projection every query shares: its AND
+    ///   is taken once per chunk for the whole batch.  Slices named in both
+    ///   `prefix` and a query are harmless (AND is idempotent).
+    /// * `dead` restricts counting to live rows: its set rows are
+    ///   AND-NOTed out of every chunk (§3.4's constraint-slice trick,
+    ///   pointed at tombstones), so a count is bit for bit what counting a
+    ///   compacted rewrite of only the surviving rows would give.
+    /// * With `tau = Some(τ)` an answer is exact whenever it is `≥ τ` and
+    ///   an upper bound on the exact count when it is `< τ`: a query stops
+    ///   as soon as even all-ones remaining chunks could not reach `τ`.
+    /// * A query whose selection (with `prefix`) is empty counts every
+    ///   live row.
     ///
-    /// With an empty `prefix` this is exactly
-    /// [`SliceFile::count_selected_many`]; a query whose union is empty
-    /// counts every row.
-    pub fn count_selected_many_shared(
+    /// Each query's `slices` must be distinct and `< width`.
+    pub fn count_selected(
         &self,
         prefix: &[usize],
-        queries: &[(Vec<usize>, Option<u64>)],
-    ) -> io::Result<Vec<u64>> {
-        self.state()
-            .count_selected_many(self.width, self.rows, prefix, queries, None)
-    }
-
-    /// [`SliceFile::count_selected_many_shared`] restricted to live rows
-    /// (see [`SliceFile::count_selected_bounded_masked`]).
-    pub fn count_selected_many_shared_masked(
-        &self,
-        prefix: &[usize],
-        queries: &[(Vec<usize>, Option<u64>)],
         dead: Option<&DeadMask>,
+        queries: &[(Vec<usize>, Option<u64>)],
     ) -> io::Result<Vec<u64>> {
-        self.state().count_selected_many(
+        self.state().count(
             self.width,
             self.rows,
             prefix,
@@ -1181,6 +999,25 @@ mod tests {
         p
     }
 
+    /// Per-op counting: a batch of one.
+    fn count(f: &SliceFile, slices: &[usize]) -> u64 {
+        bounded(f, slices, None)
+    }
+
+    fn bounded(f: &SliceFile, slices: &[usize], tau: Option<u64>) -> u64 {
+        count_masked(f, slices, tau, None)
+    }
+
+    fn count_masked(
+        f: &SliceFile,
+        slices: &[usize],
+        tau: Option<u64>,
+        dead: Option<&DeadMask>,
+    ) -> u64 {
+        f.count_selected(&[], dead, &[(slices.to_vec(), tau)])
+            .expect("count")[0]
+    }
+
     struct Cleanup(std::path::PathBuf);
     impl Drop for Cleanup {
         fn drop(&mut self) {
@@ -1220,12 +1057,12 @@ mod tests {
         f.append_row(&[0, 1]).expect("append");
         f.append_row(&[1]).expect("append");
         f.append_row(&[0, 1, 2]).expect("append");
-        assert_eq!(f.count_selected(&[]).expect("count"), 3);
-        assert_eq!(f.count_selected(&[1]).expect("count"), 3);
-        assert_eq!(f.count_selected(&[0]).expect("count"), 2);
-        assert_eq!(f.count_selected(&[0, 1]).expect("count"), 2);
-        assert_eq!(f.count_selected(&[0, 2]).expect("count"), 1);
-        assert_eq!(f.count_selected(&[0, 1, 2]).expect("count"), 1);
+        assert_eq!(count(&f, &[]), 3);
+        assert_eq!(count(&f, &[1]), 3);
+        assert_eq!(count(&f, &[0]), 2);
+        assert_eq!(count(&f, &[0, 1]), 2);
+        assert_eq!(count(&f, &[0, 2]), 1);
+        assert_eq!(count(&f, &[0, 1, 2]), 1);
     }
 
     #[test]
@@ -1259,8 +1096,8 @@ mod tests {
         }
         assert_eq!(f.rows(), n as u64);
         assert_eq!(f.load_slice(2).expect("slice").count_ones(), n);
-        assert_eq!(f.count_selected(&[2]).expect("count"), n as u64);
-        assert_eq!(f.count_selected(&[1, 2]).expect("count"), 0);
+        assert_eq!(count(&f, &[2]), n as u64);
+        assert_eq!(count(&f, &[1, 2]), 0);
     }
 
     #[test]
@@ -1278,6 +1115,17 @@ mod tests {
             .sum();
         assert_eq!(total, 200, "every set bit accounted for");
         assert!(f.cache_stats().evictions > 0, "pressure actually occurred");
+        // A chunk's pages outnumber the cache, so counting decodes them
+        // rather than borrowing them in place; it still agrees with the rows.
+        for query in [vec![0], vec![0, 3], vec![1, 2, 4], (0..8).collect()] {
+            let want = (0..100u64)
+                .filter(|i| {
+                    let row = [(i % 8) as usize, ((i + 3) % 8) as usize];
+                    query.iter().all(|s| row.contains(s))
+                })
+                .count() as u64;
+            assert_eq!(count(&f, &query), want, "{query:?}");
+        }
     }
 
     #[test]
@@ -1295,14 +1143,14 @@ mod tests {
                 f.append_row(&[i % 2]).expect("append");
             }
         }
-        let exact = f.count_selected(&[0, 1]).expect("exact");
+        let exact = count(&f, &[0, 1]);
         assert_eq!(exact, 10);
         // tau below the count: result must be exact.
-        assert_eq!(f.count_selected_bounded(&[0, 1], Some(5)).expect("b"), 10);
+        assert_eq!(bounded(&f, &[0, 1], Some(5)), 10);
         // tau far above: an early exit may fire, but never undercounts and
         // never crosses tau from below.
         let big_tau = 2 * CHUNK_ROWS as u64;
-        let est = f.count_selected_bounded(&[0, 1], Some(big_tau)).expect("b");
+        let est = bounded(&f, &[0, 1], Some(big_tau));
         assert!(est >= exact);
         assert!(est < big_tau);
         // Unbounded agrees with the naive per-slice AND.
@@ -1320,17 +1168,17 @@ mod tests {
             f.append_row(&[(i % 8) as usize]).expect("append");
         }
         for _ in 0..5 {
-            f.count_selected(&[0, 1]).expect("count");
+            count(&f, &[0, 1]);
         }
         let hs = f.hot_stats();
         assert!(hs.pinned >= 2, "repeatedly selected slices get pinned: {hs:?}");
         assert!(hs.hits > 0);
-        let before = f.count_selected(&[0]).expect("count");
+        let before = count(&f, &[0]);
         // Append invalidates the pinned words; counting still agrees.
         f.append_row(&[0]).expect("append");
         assert_eq!(f.hot_stats().pinned, 0);
         assert!(f.hot_stats().invalidations >= 1);
-        assert_eq!(f.count_selected(&[0]).expect("count"), before + 1);
+        assert_eq!(count(&f, &[0]), before + 1);
     }
 
     #[test]
@@ -1344,7 +1192,7 @@ mod tests {
         // Nothing pinned yet: those 100 appends cost zero invalidations.
         assert_eq!(f.hot_stats().invalidations, 0);
         for _ in 0..PROMOTE_AFTER {
-            f.count_selected(&[0, 1]).expect("count");
+            count(&f, &[0, 1]);
         }
         assert!(f.hot_stats().pinned >= 2);
         // One append over a pinned set: exactly one invalidation.
@@ -1357,7 +1205,7 @@ mod tests {
         assert_eq!(f.hot_stats().invalidations, 1);
         // Counting re-promotes (selection counts survived), and the next
         // append invalidates exactly once again.
-        f.count_selected(&[0, 1]).expect("count");
+        count(&f, &[0, 1]);
         assert!(f.hot_stats().pinned >= 2, "{:?}", f.hot_stats());
         f.append_row(&[3]).expect("append");
         assert_eq!(f.hot_stats().invalidations, 2);
@@ -1381,20 +1229,20 @@ mod tests {
             writer.append_row(&[0, 1]).expect("append");
         }
         writer.flush().expect("flush");
-        assert_eq!(reader.count_selected(&[0]).expect("count"), 100);
-        assert_eq!(reader.count_selected(&[0, 1]).expect("count"), 100);
+        assert_eq!(count(&reader, &[0]), 100);
+        assert_eq!(count(&reader, &[0, 1]), 100);
         assert_eq!(reader.load_slice(1).expect("slice").count_ones(), 100);
         // Repeat counting so the reader pins hot slices (decoded from pages
         // that now contain newer bits) — the clamp must hold there too.
         for _ in 0..5 {
-            assert_eq!(reader.count_selected(&[0, 1]).expect("count"), 100);
+            assert_eq!(count(&reader, &[0, 1]), 100);
         }
         assert!(reader.hot_stats().pinned > 0);
-        assert_eq!(reader.count_selected(&[0, 1]).expect("count"), 100);
+        assert_eq!(count(&reader, &[0, 1]), 100);
         // A freshly opened reader sees the newer flushed state.
         let fresh = SliceFile::open(&p, 8, 64).expect("fresh");
         assert_eq!(fresh.rows(), 150);
-        assert_eq!(fresh.count_selected(&[0, 1]).expect("count"), 150);
+        assert_eq!(count(&fresh, &[0, 1]), 150);
     }
 
     #[test]
@@ -1416,17 +1264,17 @@ mod tests {
             (vec![3], Some(u64::MAX)),
             (vec![1, 2, 3, 4, 5, 6, 7], Some(1)),
         ];
-        let batched = f.count_selected_many(&queries).expect("batched");
+        let batched = f.count_selected(&[], None, &queries).expect("batched");
         for (i, (slices, tau)) in queries.iter().enumerate() {
-            let solo = f.count_selected_bounded(slices, *tau).expect("solo");
+            let solo = bounded(&f, slices, *tau);
             assert_eq!(batched[i], solo, "query {i} {slices:?} tau {tau:?}");
         }
         // Repeat after hot promotion: pinned-slice segments agree too.
         for _ in 0..5 {
-            f.count_selected(&[0, 1]).expect("promote");
+            count(&f, &[0, 1]);
         }
         assert!(f.hot_stats().pinned > 0);
-        let batched2 = f.count_selected_many(&queries).expect("batched hot");
+        let batched2 = f.count_selected(&[], None, &queries).expect("batched hot");
         assert_eq!(batched, batched2);
         // Shared-prefix projection agrees with per-op counting of each
         // prefix ∪ extension union, including a query overlapping the
@@ -1438,14 +1286,12 @@ mod tests {
             (vec![], None),
             (vec![7], Some(u64::MAX)),
         ];
-        let shared = f
-            .count_selected_many_shared(&prefix, &exts)
-            .expect("shared");
+        let shared = f.count_selected(&prefix, None, &exts).expect("shared");
         for (i, (slices, tau)) in exts.iter().enumerate() {
             let mut union: Vec<usize> = prefix.iter().chain(slices).copied().collect();
             union.sort_unstable();
             union.dedup();
-            let solo = f.count_selected_bounded(&union, *tau).expect("solo");
+            let solo = bounded(&f, &union, *tau);
             assert_eq!(shared[i], solo, "shared query {i} {slices:?} tau {tau:?}");
         }
     }
@@ -1492,30 +1338,27 @@ mod tests {
         ];
         for (slices, _) in &queries {
             assert_eq!(
-                f.count_selected_bounded_masked(slices, None, Some(&dead))
-                    .expect("masked"),
-                g.count_selected(slices).expect("rebuilt"),
+                count_masked(&f, slices, None, Some(&dead)),
+                count(&g, slices),
                 "per-op {slices:?}"
             );
         }
         let masked = f
-            .count_selected_many_masked(&queries, Some(&dead))
+            .count_selected(&[], Some(&dead), &queries)
             .expect("masked many");
         for (i, (slices, tau)) in queries.iter().enumerate() {
-            let solo = f
-                .count_selected_bounded_masked(slices, *tau, Some(&dead))
-                .expect("solo masked");
+            let solo = count_masked(&f, slices, *tau, Some(&dead));
             assert_eq!(masked[i], solo, "batched vs per-op {slices:?}");
         }
         // Shared-prefix projection with the mask riding the prefix.
         let shared = f
-            .count_selected_many_shared_masked(&[1, 2], &queries, Some(&dead))
+            .count_selected(&[1, 2], Some(&dead), &queries)
             .expect("shared masked");
         for (i, (slices, tau)) in queries.iter().enumerate() {
             let mut union: Vec<usize> = [1usize, 2].iter().chain(slices).copied().collect();
             union.sort_unstable();
             union.dedup();
-            let exact = g.count_selected(&union).expect("rebuilt union");
+            let exact = count(&g, &union);
             match tau {
                 // No early exit: the masked count must be exact.
                 None => assert_eq!(shared[i], exact, "shared {slices:?}"),
@@ -1532,9 +1375,8 @@ mod tests {
         }
         // No tombstones: the masked paths degrade to the plain ones.
         assert_eq!(
-            f.count_selected_bounded_masked(&[0], None, Some(&DeadMask::default()))
-                .expect("empty mask"),
-            f.count_selected(&[0]).expect("plain")
+            count_masked(&f, &[0], None, Some(&DeadMask::default())),
+            count(&f, &[0])
         );
     }
 
@@ -1548,16 +1390,16 @@ mod tests {
                 .expect("append");
         }
         let shared = &f;
-        let a = shared.count_selected(&[0]).expect("a");
-        let b = shared.count_selected(&[0]).expect("b");
+        let a = count(shared, &[0]);
+        let b = count(shared, &[0]);
         assert_eq!(a, b);
         // And across scoped threads on the same shared reference.
         let (x, y) = std::thread::scope(|s| {
-            let h1 = s.spawn(|| shared.count_selected(&[0, 1]).expect("t1"));
-            let h2 = s.spawn(|| shared.count_selected(&[0, 1]).expect("t2"));
+            let h1 = s.spawn(|| count(shared, &[0, 1]));
+            let h2 = s.spawn(|| count(shared, &[0, 1]));
             (h1.join().expect("join1"), h2.join().expect("join2"))
         });
         assert_eq!(x, y);
-        assert_eq!(x, shared.count_selected(&[0, 1]).expect("serial"));
+        assert_eq!(x, count(shared, &[0, 1]));
     }
 }

@@ -1,10 +1,13 @@
-//! Proptest oracle for the batched shared-scan executor: `count_many`
-//! answers must be bit-for-bit identical to N independent `count` calls
-//! and to the in-memory reference index, across mixed-length itemsets,
-//! τ early-exit bounds, Ramp-style projected extension batches sharing a
-//! constraint slice, and concurrent-appender interleavings.
+//! Oracle for the slice-file executor: `count_many` answers must be
+//! bit-for-bit identical to N independent `count` calls (each a batch of
+//! one) and to the in-memory reference index, across mixed-length
+//! itemsets, τ early-exit bounds, Ramp-style projected extension batches
+//! sharing a constraint slice, concurrent-appender interleavings, and
+//! (on a pinned seed) chunk geometry, hot slices, tombstones and both
+//! page sources.
 
 use bbs_bitslice::BitVec;
+use bbs_core::Bbs;
 use bbs_hash::{ItemHasher, Md5BloomHasher};
 use bbs_storage::diskbbs::DiskDeployment;
 use bbs_storage::snapshot::SharedDeployment;
@@ -301,4 +304,218 @@ fn concurrent_appenders_never_split_a_batch_across_epochs() {
     let final_counts = snap.count_many(&queries).expect("final");
     assert_eq!(final_counts[0], BATCH * BATCHES);
     assert_eq!(final_counts[4], BATCH * BATCHES);
+}
+
+/// xorshift64: the pinned-seed generator of the chunk-geometry oracle.
+struct Rng(u64);
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+}
+
+/// Pinned seed of the chunk-geometry oracle.
+const GEOMETRY_SEED: u64 = 0x9e0_c4a2;
+/// Selections a slice needs before the executor pins it hot.
+const PROMOTE_AFTER: usize = 3;
+
+/// Row `i` of the geometry fixture: item 0 on 7 rows in 8, plus up to
+/// four items drawn from `1..24`, so slices collide and overlap.
+fn geometry_txn(rng: &mut Rng, i: u64) -> Transaction {
+    let mut items: Vec<u32> = Vec::new();
+    if !rng.next().is_multiple_of(8) {
+        items.push(0);
+    }
+    for _ in 0..rng.next() % 5 {
+        items.push(1 + (rng.next() % 23) as u32);
+    }
+    Transaction::new(i, Itemset::from_values(&items))
+}
+
+/// The query mix: the empty itemset, singles, pairs and triples (sharing
+/// item 0, so a batch hoists common slices), and an absent item.
+fn geometry_queries() -> Vec<Itemset> {
+    let mut qs = vec![Itemset::from_values(&[])];
+    qs.extend((0..24u32).map(|i| Itemset::from_values(&[i])));
+    qs.extend((1..12u32).map(|i| Itemset::from_values(&[0, i])));
+    qs.extend((1..8u32).map(|i| Itemset::from_values(&[0, i, i + 8])));
+    qs.extend((2..10u32).map(|i| Itemset::from_values(&[i, i + 1])));
+    qs.push(Itemset::from_values(&[999]));
+    qs
+}
+
+/// What an in-memory `Bbs` of the `live` rows answers for `queries`.
+fn memory_answers(rows: &[Transaction], live: &[bool], queries: &[Itemset]) -> Vec<u64> {
+    let mut bbs = Bbs::new(64, hasher());
+    let mut io = IoStats::new();
+    for (t, &alive) in rows.iter().zip(live) {
+        if alive {
+            bbs.insert(t, &mut io);
+        }
+    }
+    queries.iter().map(|q| bbs.est_count(q, &mut io)).collect()
+}
+
+/// Checks one page source's answers against `want`: the batch, per-op
+/// counting (a batch of one), and every τ in `taus` under the early-exit
+/// contract.  Returns how many answers were genuine early-exit bounds.
+fn check_source(
+    source: &str,
+    want: &[u64],
+    taus: &[u64],
+    queries: &[Itemset],
+    batch: &mut dyn FnMut(Option<u64>) -> Vec<u64>,
+    one: &mut dyn FnMut(&Itemset, Option<u64>) -> u64,
+) -> usize {
+    assert_eq!(batch(None), want, "{source}: batch");
+    for (q, &w) in queries.iter().zip(want) {
+        assert_eq!(one(q, None), w, "{source}: per-op {q:?}");
+    }
+    let mut bounds = 0;
+    for &tau in taus {
+        let got = batch(Some(tau));
+        for (i, (q, &w)) in queries.iter().zip(want).enumerate() {
+            if got[i] >= tau {
+                assert_eq!(got[i], w, "{source}: {q:?} at or above tau {tau}");
+            } else {
+                assert!(got[i] >= w, "{source}: {q:?} below tau {tau} undercounts");
+                bounds += usize::from(got[i] > w);
+            }
+            assert_eq!(
+                one(q, Some(tau)),
+                got[i],
+                "{source}: per-op {q:?} tau {tau}"
+            );
+        }
+    }
+    bounds
+}
+
+/// Runs `check_source` cold, then again after `promote` has selected
+/// every query `PROMOTE_AFTER` times, so that slices are pinned hot.
+fn cold_then_hot(
+    source: &str,
+    want: &[u64],
+    taus: &[u64],
+    queries: &[Itemset],
+    batch: &mut dyn FnMut(Option<u64>) -> Vec<u64>,
+    one: &mut dyn FnMut(&Itemset, Option<u64>) -> u64,
+    pinned: &dyn Fn() -> usize,
+) -> usize {
+    let mut bounds = check_source(&format!("{source}, cold"), want, taus, queries, batch, one);
+    for _ in 0..PROMOTE_AFTER {
+        batch(None);
+    }
+    assert!(pinned() > 0, "{source}: nothing pinned hot");
+    bounds += check_source(&format!("{source}, hot"), want, taus, queries, batch, one);
+    bounds
+}
+
+/// The executor across chunk geometry, on a pinned seed: row counts one
+/// short of, exactly at, one past, and 37 past two chunk boundaries, so
+/// the boundary chunk's trimmed words and the clamp of its last partial
+/// word are both exercised.  Each geometry is checked through both page
+/// sources (a `DiskCounter` over a private cache, a `Snapshot` over the
+/// deployment's shared cache), cold and with slices pinned hot, without
+/// and with tombstones, at several τ, and bit for bit against an
+/// in-memory `Bbs` of the live rows.  A held snapshot must keep its
+/// answers while a later commit ORs bits into its boundary pages.
+#[test]
+fn executor_matches_memory_across_chunk_geometry() {
+    const CHUNK: u64 = bbs_storage::CHUNK_ROWS as u64;
+    let queries = geometry_queries();
+    for rows in [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 37] {
+        let b = base("geometry");
+        let _g = Cleanup(b.clone());
+        let mut rng = Rng(GEOMETRY_SEED ^ rows);
+        let txns: Vec<Transaction> = (0..rows).map(|i| geometry_txn(&mut rng, i)).collect();
+        let mut live = vec![true; txns.len()];
+        let mut dep = DiskDeployment::open(&b, 64, hasher(), 512).expect("open");
+        dep.append_batch(&txns).expect("append");
+        dep.flush().expect("flush");
+        for tombstones in [false, true] {
+            if tombstones {
+                // Every 7th row, and the last rows of the boundary chunk.
+                let dead: Vec<u64> = (0..rows).filter(|r| r % 7 == 3 || r + 5 >= rows).collect();
+                for &r in &dead {
+                    live[r as usize] = false;
+                }
+                dep.commit_deletes(&dead, &[]).expect("delete");
+            }
+            let want = memory_answers(&txns, &live, &queries);
+            let live_rows = live.iter().filter(|&&l| l).count() as u64;
+            let taus = [1, live_rows / 2, rows];
+            let step = format!("{rows} rows, tombstones {tombstones}");
+
+            // A private page cache: the DiskCounter, and its projection.
+            let counter = std::cell::RefCell::new(dep.index.counter().expect("counter"));
+            let mut bounds = cold_then_hot(
+                &format!("{step}, counter"),
+                &want,
+                &taus,
+                &queries,
+                &mut |tau| {
+                    counter
+                        .borrow_mut()
+                        .count_many(&queries, tau)
+                        .expect("batch")
+                },
+                &mut |q, tau| counter.borrow_mut().count(q, tau).expect("count"),
+                &|| counter.borrow().hot_stats().pinned,
+            );
+            let exts: Vec<ItemId> = (1..24).map(ItemId).collect();
+            let projected = counter
+                .borrow_mut()
+                .count_extensions_projected(&Itemset::from_values(&[0]), &exts, None)
+                .expect("projected");
+            let pairs: Vec<Itemset> = (1..24u32).map(|e| Itemset::from_values(&[0, e])).collect();
+            assert_eq!(
+                projected,
+                memory_answers(&txns, &live, &pairs),
+                "{step}: projected"
+            );
+
+            // The shared cache: a snapshot of the same files.
+            drop(dep);
+            let shared = SharedDeployment::open(&b, 64, hasher(), 512).expect("shared");
+            let snap = shared.snapshot();
+            bounds += cold_then_hot(
+                &format!("{step}, snapshot"),
+                &want,
+                &taus,
+                &queries,
+                &mut |tau| snap.count_many_bounded(&queries, tau).expect("batch"),
+                &mut |q, tau| match tau {
+                    None => snap.count(q).expect("count"),
+                    Some(t) => snap.count_bounded(q, t).expect("count"),
+                },
+                &|| snap.hot_stats().pinned,
+            );
+            if rows > 2 * CHUNK {
+                assert!(bounds > 0, "{step}: no answer was an early-exit bound");
+            }
+            if tombstones {
+                // A later commit ORs bits into the held snapshot's
+                // boundary pages; its answers must not move.
+                let more: Vec<Transaction> = (rows..rows + 50)
+                    .map(|i| geometry_txn(&mut rng, i))
+                    .collect();
+                shared.commit(&more).expect("commit");
+                assert_eq!(
+                    snap.count_many(&queries).expect("held"),
+                    want,
+                    "{step}: held snapshot after a commit"
+                );
+                for (q, &w) in queries.iter().zip(&want) {
+                    assert_eq!(snap.count(q).expect("held"), w, "{step}: held {q:?}");
+                }
+                break;
+            }
+            drop((snap, shared));
+            dep = DiskDeployment::open(&b, 64, hasher(), 512).expect("reopen");
+        }
+    }
 }
